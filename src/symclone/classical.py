@@ -1,7 +1,7 @@
 """Classical cloning processes on symplectic vector spaces.
 
 Constructors build exact cloning processes (the explicit 2-dimensional one,
-binary products with the canonical block reshuffle, and the general
+products assembled side by side in object/copy/machine order, and the general
 even-dimensional construction through Darboux normalization).  The verifier
 checks candidates with zero tolerance.  The readout-equation solver and the
 kernel witness give the two sides of the machine-size bound, and a
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -113,19 +114,26 @@ class VerificationReport:
     inferred_readout: RatMatrix
     verdict: str  # "pass" | "fail"
     reason: str
+    # (row, col, value) of the first nonzero symplectic-defect entry in
+    # row-major order; None when phi is symplectic
+    first_defect_entry: tuple[int, int, Fraction] | None = None
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "symplectic_defect_norm": str(self.symplectic_defect_norm),
             "cloning_residual": str(self.cloning_residual),
             "inferred_readout": self.inferred_readout.to_json(),
             "verdict": self.verdict,
             "reason": self.reason,
         }
+        if self.first_defect_entry is not None:
+            row, col, value = self.first_defect_entry
+            out["first_defect_entry"] = {"row": row, "col": col, "value": str(value)}
+        return out
 
 
 # The explicit 6x6 copying map on R^2 x R^2 x R^2 and its machine readout.
@@ -180,62 +188,68 @@ def shuffle_permutation(dims: tuple[int, int, int, int, int, int]) -> RatMatrix:
     return RatMatrix.permutation(perm)
 
 
+def _assemble(factors: Sequence[CloningProcess]) -> CloningProcess:
+    """Run processes side by side, with coordinates in object/copy/machine order.
+
+    Each factor's nonzero phi entries go to their global indices (all objects,
+    then all copies, then all machines, each in factor order); forms and
+    readouts are block diagonal.  Equal to conjugating the block-diagonal map
+    by ``shuffle_permutation`` one factor at a time, without the products.
+    """
+    dm = sum(c.object_dim for c in factors)
+    total = 2 * dm + sum(c.machine_dim for c in factors)
+    phi = [[_ZERO] * total for _ in range(total)]
+    om = ok = 0
+    for c in factors:
+        m, k = c.object_dim, c.machine_dim
+        glob = [
+            *range(om, om + m),
+            *range(dm + om, dm + om + m),
+            *range(2 * dm + ok, 2 * dm + ok + k),
+        ]
+        for i, gi in enumerate(glob):
+            target = phi[gi]
+            for j, x in enumerate(c.phi.row(i)):
+                if x:
+                    target[glob[j]] = x
+        om += m
+        ok += k
+    objects = RatMatrix.block_diag(*(c.object_form.matrix for c in factors))
+    machines = RatMatrix.block_diag(*(c.machine_form.matrix for c in factors))
+    return CloningProcess(
+        object_form=SkewForm._trusted(objects),
+        blank=tuple(x for c in factors for x in c.blank),
+        machine_form=SkewForm._trusted(machines),
+        ready=tuple(x for c in factors for x in c.ready),
+        phi=RatMatrix._raw(tuple(map(tuple, phi)), total),
+        readout=RatMatrix.block_diag(*(c.readout for c in factors)),
+    )
+
+
 def product_cloner(c1: CloningProcess, c2: CloningProcess) -> CloningProcess:
     """Cloning process for the product phase space, machine = product of machines.
 
-    The combined map runs the two processes side by side and reindexes the
-    coordinate blocks into object/copy/machine order with the canonical
-    shuffle permutation.
+    Verifies both inputs, then runs them side by side through the shared
+    assembly: the result's phi is the block-diagonal map reindexed into
+    object/copy/machine order, i.e. conjugated by ``shuffle_permutation``.
     """
     for i, c in enumerate((c1, c2)):
         rep = verify_cloning(c)
         if not rep.passed:
             raise CloningVerificationError(f"input process {i + 1} is invalid: {rep.reason}")
-    m1, k1 = c1.object_dim, c1.machine_dim
-    m2, k2 = c2.object_dim, c2.machine_dim
-    perm = shuffle_permutation((m1, m1, k1, m2, m2, k2))
-    phi = perm @ RatMatrix.block_diag(c1.phi, c2.phi) @ perm.T
-    return CloningProcess(
-        object_form=direct_sum(c1.object_form, c2.object_form),
-        blank=c1.blank + c2.blank,
-        machine_form=direct_sum(c1.machine_form, c2.machine_form),
-        ready=c1.ready + c2.ready,
-        phi=phi,
-        readout=RatMatrix.block_diag(c1.readout, c2.readout),
-    )
+    return _assemble((c1, c2))
 
 
 def standard_cloner(n: int) -> CloningProcess:
     """n-fold product of the basic cloner on the standard form of dimension 2n.
 
-    Equal to folding ``product_cloner`` over n copies of ``basic_cloner`` (the
-    shuffled layout keeps each symplectic pair contiguous), but assembled
-    directly so large n stays cheap.
+    The shared assembly applied to n basic cloners at once, so it equals
+    folding ``product_cloner`` over them (the layout keeps each symplectic
+    pair contiguous) while skipping the n verifications.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = 2 * n
-    zero = _ZERO
-    phi = [[zero] * (3 * d) for _ in range(3 * d)]
-    readout = [[zero] * d for _ in range(d)]
-    for p in range(n):
-        for i in range(6):
-            gi = (i // 2) * d + 2 * p + i % 2
-            for j in range(6):
-                gj = (j // 2) * d + 2 * p + j % 2
-                phi[gi][gj] = _BASIC_PHI[i, j]
-        for i in range(2):
-            for j in range(2):
-                readout[2 * p + i][2 * p + j] = _BASIC_READOUT[i, j]
-    form = standard_form(n)
-    return CloningProcess(
-        object_form=form,
-        blank=zero_vec(d),
-        machine_form=form,
-        ready=zero_vec(d),
-        phi=RatMatrix._raw(tuple(map(tuple, phi)), 3 * d),
-        readout=RatMatrix._raw(tuple(map(tuple, readout)), d),
-    )
+    return _assemble([basic_cloner()] * n)
 
 
 def general_cloner(form: SkewForm) -> CloningProcess:
@@ -274,12 +288,17 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
     identity on the zero state and every object basis state (linearity makes
     this exhaustive), and consistency of the stored readout with the machine
     output.  Both reported residuals are exact rationals; verdict is pass iff
-    both are zero.
+    both are zero.  A nonzero symplectic defect is located by its first entry.
     """
     dm, dn = c.object_dim, c.machine_dim
     total = c.total_form()
     defect = symplectic_defect(c.phi, total, total)
     defect_norm = defect.max_abs()
+    first_defect = (
+        next((i, j, x) for i in range(defect.rows) for j, x in enumerate(defect.row(i)) if x)
+        if defect_norm
+        else None
+    )
 
     residual = Fraction(0)
     reason = ""
@@ -345,6 +364,7 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
         inferred_readout=inferred,
         verdict=verdict,
         reason=reason if verdict == "fail" else "",
+        first_defect_entry=first_defect,
     )
 
 

@@ -31,7 +31,6 @@ from .diagrams import (
 )
 from .exact import (
     DegenerateFormError,
-    RatMatrix,
     ShapeError,
     SkewForm,
     darboux_basis,
@@ -90,48 +89,30 @@ def _cmd_construct_general(args) -> int:
     return EXIT_OK
 
 
-def _load_process(path: str) -> CloningProcess:
+def _load(path: str, parse):
+    """Read a JSON file and parse it, mapping every parse error to CliError."""
     data = _load_json(path)
     try:
-        return CloningProcess.from_json(data)
-    except (KeyError, TypeError) as exc:
+        return parse(data)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliError(f"{path}: missing or malformed field: {exc}")
     except (ShapeError, DegenerateFormError, ValueError) as exc:
         raise CliError(f"{path}: {exc}")
 
 
 def _cmd_verify(args) -> int:
-    process = _load_process(args.input)
-    report = verify_cloning(process)
-    out = report.to_json()
-    if report.symplectic_defect_norm:
-        from .classical import symplectic_defect
-
-        defect = symplectic_defect(process.phi, process.total_form(), process.total_form())
-        loc = next(
-            (i, j)
-            for i in range(defect.rows)
-            for j in range(defect.cols)
-            if defect[i, j]
-        )
-        out["first_defect_entry"] = {"row": loc[0], "col": loc[1], "value": str(defect[loc])}
+    report = verify_cloning(_load(args.input, CloningProcess.from_json))
     lines = [f"verdict: {report.verdict}"]
     if not report.passed:
         lines.append(f"reason: {report.reason}")
         lines.append(f"symplectic defect (max abs): {report.symplectic_defect_norm}")
         lines.append(f"cloning residual (max abs): {report.cloning_residual}")
-    _emit(out, args.format, lines)
+    _emit(report.to_json(), args.format, lines)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_darboux(args) -> int:
-    data = _load_json(args.input)
-    try:
-        form = SkewForm.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"{args.input}: missing or malformed field: {exc}")
-    except (ShapeError, DegenerateFormError, ValueError) as exc:
-        raise CliError(f"{args.input}: {exc}")
+    form = _load(args.input, SkewForm.from_json)
     basis = darboux_basis(form)
     ok = is_symplectic_map(basis, standard_form(form.dim // 2), form)
     _emit(
@@ -161,7 +142,7 @@ def _cmd_readout_solve(args) -> int:
 
 
 def _cmd_size_witness(args) -> int:
-    process = _load_process(args.input)
+    process = _load(args.input, CloningProcess.from_json)
     try:
         witness = size_witness(process)
     except NotApplicableError as exc:
@@ -210,7 +191,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_diagram_check(args) -> int:
     if args.instance == "symp":
-        process = _load_process(args.input)
+        process = _load(args.input, CloningProcess.from_json)
         inst, diagram = diagram_from_process(process)
         report = check_cloning_diagram(inst, diagram)
     else:
@@ -306,10 +287,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ShapeError, DegenerateFormError) as exc:
+    except (CliError, ShapeError, DegenerateFormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .exact import RatMatrix, RatVector, ShapeError, SkewForm, vec, zero_vec
-from .quantum import kron
+from .quantum import FLOAT_TOL, kron, slice_amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +119,9 @@ def symplectic_instance() -> DiagramInstance:
     )
 
 
-def hilbert_instance(tol: float = 1e-9) -> DiagramInstance:
+def hilbert_instance() -> DiagramInstance:
     """Finite-dimensional Hilbert spaces; arrows are complex matrices,
-    equality is entrywise within tol.  Objects are dimensions."""
+    equality is entrywise within FLOAT_TOL.  Objects are dimensions."""
 
     def compose(g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return np.asarray(g, dtype=complex) @ np.asarray(h, dtype=complex)
@@ -133,7 +133,7 @@ def hilbert_instance(tol: float = 1e-9) -> DiagramInstance:
         g, h = np.atleast_2d(g), np.atleast_2d(h)
         if g.shape != h.shape:
             return False
-        return g.size == 0 or float(np.max(np.abs(g - h))) <= tol
+        return g.size == 0 or float(np.max(np.abs(g - h))) <= FLOAT_TOL
 
     def state_arrow(obj: int, psi) -> np.ndarray:
         psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
@@ -277,13 +277,6 @@ def check_traditional_diagram(
     )
 
 
-def unit_states(instance: DiagramInstance) -> list:
-    """The states of the unit object (a single trivial one in both instances)."""
-    if instance.name == "symplectic":
-        return [()]
-    return [np.array([1.0 + 0.0j])]
-
-
 def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
     """Wrap a classical CloningProcess as a symplectic cloning diagram.
 
@@ -331,9 +324,7 @@ def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInsta
 
     def readout(psi) -> np.ndarray:
         psi = np.asarray(psi, dtype=complex).reshape(-1)
-        out = U @ np.kron(np.kron(psi, beta), rho)
-        xx = np.kron(psi, psi)
-        amps = np.array([np.vdot(np.kron(xx, np.eye(dk)[:, j]), out) for j in range(dk)])
+        amps = slice_amplitudes(U, psi, beta, rho)
         norm = float(np.linalg.norm(amps))
         if norm < 1e-12:
             return np.eye(dk)[:, 0].astype(complex)

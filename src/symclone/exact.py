@@ -23,7 +23,7 @@ class DegenerateFormError(ValueError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         f = x
-    elif isinstance(x, (int, str)):
+    elif isinstance(x, (int, str)) and not isinstance(x, bool):
         f = Fraction(x)
     else:
         raise TypeError(f"expected an exact rational entry, got {type(x).__name__}")

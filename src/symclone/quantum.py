@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ISOMETRY_TOL = 1e-9
+# Absolute tolerance of every float check on the Hilbert-space side: isometry
+# defect, unit norms, the overlap range and arrow equality in the Hilbert
+# diagram instance.
+FLOAT_TOL = 1e-9
 
 
 class HypothesisViolationError(ValueError):
@@ -31,13 +34,13 @@ def isometry_defect(U: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(U.shape[1]))))
 
 
-def is_isometry(U: np.ndarray, tol: float = ISOMETRY_TOL) -> bool:
-    """True iff U preserves inner products up to tol; a map into a smaller
-    space can never qualify."""
+def is_isometry(U: np.ndarray) -> bool:
+    """True iff U preserves inner products up to FLOAT_TOL; a map into a
+    smaller space can never qualify."""
     U = np.asarray(U, dtype=complex)
     if U.shape[0] < U.shape[1]:
         return False
-    return isometry_defect(U) <= tol
+    return isometry_defect(U) <= FLOAT_TOL
 
 
 def basis_cloner(d: int) -> np.ndarray:
@@ -55,10 +58,10 @@ def basis_cloner(d: int) -> np.ndarray:
     return U
 
 
-def _as_state(v, name: str, tol: float = 1e-9) -> np.ndarray:
+def _as_state(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > FLOAT_TOL:
         raise ValueError(f"{name} must be a unit vector (norm {norm:.3g})")
     return v
 
@@ -85,27 +88,23 @@ class Refutation:
         }
 
 
+def slice_amplitudes(
+    U: np.ndarray, x: np.ndarray, beta: np.ndarray, rho: np.ndarray
+) -> np.ndarray:
+    """Amplitudes of U(x x beta x rho) on the x x x x e_j slice, one for each
+    machine basis vector e_j (all vectors flat and complex)."""
+    d, dk = len(x), len(rho)
+    return np.kron(x, x).conj() @ (U @ np.kron(np.kron(x, beta), rho)).reshape(d * d, dk)
+
+
 def _clone_distance(U: np.ndarray, x: np.ndarray, beta: np.ndarray, rho: np.ndarray) -> float:
     """Distance from U(x x beta x rho) to the closest unit vector of the form
     x x x x (machine state)."""
-    d = len(x)
-    dk = len(rho)
-    out = U @ kron(kron(x.reshape(-1, 1), beta.reshape(-1, 1)), rho.reshape(-1, 1)).reshape(-1)
-    xx = np.kron(x, x)
-    # amplitude on the x x x x e_j slice for each machine basis vector e_j
-    amps = np.array([np.vdot(np.kron(xx, np.eye(dk)[:, j]), out) for j in range(dk)])
-    proj = float(np.linalg.norm(amps))
+    proj = float(np.linalg.norm(slice_amplitudes(U, x, beta, rho)))
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * proj)))
 
 
-def refute_cloning(
-    U: np.ndarray,
-    beta,
-    rho,
-    psi,
-    psi2,
-    tol: float = ISOMETRY_TOL,
-) -> Refutation:
+def refute_cloning(U: np.ndarray, beta, rho, psi, psi2) -> Refutation:
     """Run the no-cloning contradiction against a candidate copying isometry.
 
     Requires U isometric and a state pair with overlap strictly between 0 and
@@ -124,17 +123,15 @@ def refute_cloning(
             "object space has dimension 1: no valid state pair exists "
             "(every pair of unit vectors is parallel)"
         )
-    if not is_isometry(U, tol):
-        raise ValueError("U is not an isometry at the requested tolerance")
+    if not is_isometry(U):
+        raise ValueError("U is not an isometry at the module tolerance")
     t = complex(np.vdot(psi, psi2))
-    if abs(t) <= tol or abs(abs(t) - 1.0) <= tol:
+    if abs(t) <= FLOAT_TOL or abs(abs(t) - 1.0) <= FLOAT_TOL:
         raise HypothesisViolationError(
             f"|<psi, psi2>| = {abs(t):.3g}; the argument needs 0 < |overlap| < 1"
         )
 
-    inp1 = kron(kron(psi.reshape(-1, 1), beta.reshape(-1, 1)), rho.reshape(-1, 1)).reshape(-1)
-    inp2 = kron(kron(psi2.reshape(-1, 1), beta.reshape(-1, 1)), rho.reshape(-1, 1)).reshape(-1)
-    preserved = complex(np.vdot(U @ inp1, U @ inp2))
+    preserved = complex(np.vdot(*(U @ np.kron(np.kron(x, beta), rho) for x in (psi, psi2))))
 
     implied = 1.0 / abs(t)
     r1 = _clone_distance(U, psi, beta, rho)

@@ -129,6 +129,34 @@ class TestProductCloner:
         assert left.readout == right.readout
         assert verify_cloning(left).passed and verify_cloning(right).passed
 
+    @staticmethod
+    def _shuffled(c1, c2):
+        """The product's phi by its definition: conjugate the side-by-side map
+        by the canonical block shuffle."""
+        m1, k1, m2, k2 = c1.object_dim, c1.machine_dim, c2.object_dim, c2.machine_dim
+        p = shuffle_permutation((m1, m1, k1, m2, m2, k2))
+        return p @ RatMatrix.block_diag(c1.phi, c2.phi) @ p.T
+
+    @pytest.mark.parametrize("pair", ["basic-basic", "basic-general", "general-basic",
+                                      "basic-empty", "empty-basic"])
+    def test_phi_is_the_shuffled_block_diagonal(self, pair):
+        factors = {
+            "basic": basic_cloner(),
+            "general": general_cloner(random_skew_form(4, random.Random(7))),
+            "empty": standard_cloner(0),
+        }
+        c1, c2 = (factors[name] for name in pair.split("-"))
+        c = product_cloner(c1, c2)
+        assert c.phi == self._shuffled(c1, c2)
+        assert c.readout == RatMatrix.block_diag(c1.readout, c2.readout)
+        forms = (c1.object_form.matrix, c2.object_form.matrix)
+        assert c.object_form.matrix == RatMatrix.block_diag(*forms)
+
+    def test_standard_cloner_equals_the_shuffled_fold(self):
+        for n in range(1, 5):
+            expected = self._shuffled(standard_cloner(n - 1), basic_cloner())
+            assert standard_cloner(n).phi == expected
+
     def test_standard_cloner_equals_the_fold(self):
         folded = basic_cloner()
         for n in (2, 3):

@@ -45,10 +45,21 @@ class TestConstructAndVerify:
         path.write_text(json.dumps(data))
         code, out, _ = run_capture(capsys, "verify", "--input", str(path))
         assert code == 1
-        report = json.loads(out)
-        assert report["verdict"] == "fail"
-        assert "first_defect_entry" in report
-        assert set(report["first_defect_entry"]) == {"row", "col", "value"}
+        assert json.loads(out) == {
+            "cloning_residual": "0",
+            "first_defect_entry": {"col": 4, "row": 1, "value": "1"},
+            "inferred_readout": {"cols": 2, "entries": [["1", "0"], ["0", "-1"]], "rows": 2},
+            "reason": "map is not symplectic for the product form",
+            "symplectic_defect_norm": "2",
+            "verdict": "fail",
+        }
+
+    def test_passing_report_has_no_defect_entry(self, tmp_path, capsys):
+        _, out, _ = run_capture(capsys, "construct-basic")
+        path = tmp_path / "basic.json"
+        path.write_text(out)
+        _, out, _ = run_capture(capsys, "verify", "--input", str(path))
+        assert "first_defect_entry" not in json.loads(out)
 
 
 class TestDarboux:
@@ -181,6 +192,28 @@ class TestContract:
     def test_missing_file(self, capsys):
         code, _, err = run_capture(capsys, "verify", "--input", "/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "darboux"])
+    def test_zero_denominator_is_a_parse_error(self, tmp_path, capsys, command):
+        data = basic_cloner().to_json() if command == "verify" else standard_form(1).to_json()
+        entries = data["phi"]["entries"] if command == "verify" else data["entries"]
+        entries[0][1] = "1/0"
+        path = tmp_path / "div0.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_capture(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_json_boolean_entry_is_a_parse_error(self, tmp_path, capsys):
+        data = basic_cloner().to_json()
+        data["blank"] = [True, False]
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_capture(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "bool" in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_capture(capsys, "frobnicate")

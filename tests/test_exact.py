@@ -16,6 +16,7 @@ from symclone import (
     is_symplectic_map,
     standard_form,
     symplectic_defect,
+    vec,
 )
 from conftest import random_skew_form
 
@@ -188,6 +189,12 @@ class TestSerialization:
         data = f.to_json()
         assert data["dim"] == 4
         assert SkewForm.from_json(data) == f
+
+    def test_booleans_are_not_rationals(self):
+        with pytest.raises(TypeError, match="bool"):
+            vec([True, False])
+        with pytest.raises(TypeError, match="bool"):
+            RatMatrix.from_json({"rows": 1, "cols": 1, "entries": [[False]]})
 
     def test_mismatched_declared_shape_rejected(self):
         data = RatMatrix([[1, 2]]).to_json()

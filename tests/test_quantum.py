@@ -19,6 +19,7 @@ from symclone.quantum import (
     isometry_defect,
     random_isometry,
     random_state,
+    slice_amplitudes,
 )
 
 CNOT = np.array(
@@ -163,6 +164,18 @@ class TestRefutation:
             assert r.cauchy_schwarz_excess >= 1e-6
             # isometry preserves the prepared overlap
             assert abs(r.preserved_overlap - r.overlap) < 1e-8
+
+
+class TestSliceAmplitudes:
+    @pytest.mark.parametrize("d, dk", [(2, 1), (2, 3), (3, 2), (4, 16)])
+    def test_matches_the_per_basis_projection(self, d, dk):
+        rng = np.random.default_rng(11 * d + dk)
+        for _ in range(5):
+            U = random_isometry(d * d * dk, d * d * dk, rng)
+            x, beta, rho = random_state(d, rng), random_state(d, rng), random_state(dk, rng)
+            out = U @ np.kron(np.kron(x, beta), rho)
+            expected = [np.vdot(np.kron(np.kron(x, x), np.eye(dk)[:, j]), out) for j in range(dk)]
+            assert np.max(np.abs(slice_amplitudes(U, x, beta, rho) - expected)) <= 1e-12
 
 
 class TestComplexSerialization:
