@@ -52,7 +52,6 @@ from .diagrams import (
     DiagramInstance,
     DiagramReport,
     check_cloning_diagram,
-    check_traditional_diagram,
     diagram_from_process,
     hilbert_cloning_diagram,
     hilbert_instance,

@@ -38,7 +38,6 @@ from .exact import (
     standard_form,
 )
 from .quantum import (
-    HypothesisViolationError,
     complex_matrix_from_json,
     complex_vector_from_json,
     standard_refutation,
@@ -133,6 +132,8 @@ def _cmd_readout_solve(args) -> int:
             [f"infeasible: {exc}"],
         )
         return EXIT_FAIL
+    except ValueError as exc:  # negative m or k
+        raise CliError(str(exc))
     _emit(
         {"infeasible": False, "readout": F.to_json()},
         args.format,
@@ -163,7 +164,7 @@ def _cmd_size_witness(args) -> int:
 def _cmd_quantum_refute(args) -> int:
     try:
         refutation = standard_refutation(args.dim, args.psi_overlap)
-    except HypothesisViolationError as exc:
+    except ValueError as exc:  # HypothesisViolationError included
         raise CliError(str(exc))
     _emit(
         refutation.to_json(),

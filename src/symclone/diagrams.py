@@ -241,42 +241,6 @@ def check_cloning_diagram(
     )
 
 
-def check_traditional_diagram(
-    instance: DiagramInstance,
-    object_a: Any,
-    beta: Any,
-    arrow_c: Any,
-    states: Sequence | None = None,
-) -> DiagramReport:
-    """Machine-free diagram check, coded directly: c o (psi x beta) = psi x psi.
-
-    Equivalent to ``check_cloning_diagram`` with the machine object set to the
-    unit; kept separate so the reduction law can be tested against an
-    independent implementation.
-    """
-    if states is None:
-        states = instance.sample_states(object_a)
-    beta_arrow = instance.state_arrow(object_a, beta)
-    results = []
-    first_failure = None
-    for psi in states:
-        psi_arrow = instance.state_arrow(object_a, psi)
-        lhs = instance.compose(arrow_c, instance.tensor(psi_arrow, beta_arrow))
-        rhs = instance.tensor(psi_arrow, psi_arrow)
-        ok = instance.equal(lhs, rhs)
-        results.append((psi, ok))
-        if not ok and first_failure is None:
-            first_failure = psi
-    passed = all(ok for _, ok in results)
-    return DiagramReport(
-        results=tuple(results),
-        passed=passed,
-        first_failure=first_failure,
-        exhaustive=instance.exhaustive,
-        note="machine-free diagram",
-    )
-
-
 def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
     """Wrap a classical CloningProcess as a symplectic cloning diagram.
 

@@ -1,14 +1,21 @@
 """Exact rational linear algebra for skew-symmetric bilinear forms.
 
-Everything here runs over ``fractions.Fraction``: skew forms are stored and
-checked exactly, symplectic-map identities hold with zero tolerance, and the
-Darboux normalization is a rational symplectic Gram-Schmidt.  Floating point
-only appears in the numerical probe and the quantum module, never here.
+Entries are stored as ``fractions.Fraction``, and every verdict is an exact
+identity: skew forms are checked exactly, symplectic-map identities hold with
+zero tolerance, and the Darboux normalization is a rational symplectic
+Gram-Schmidt.  The kernels (products, elimination, the symplectic defect and
+the Darboux basis) run on integers instead: each matrix caches an integer row
+view, a common denominator per row with the integer numerators of the row's
+nonzero entries, and a result entry becomes a ``Fraction`` only once, at the
+end.  Floating point only appears in the numerical probe and the quantum
+module, never here.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -51,15 +58,108 @@ def zero_vec(n: int) -> RatVector:
     return (_ZERO,) * n
 
 
+# -- integer kernels ---------------------------------------------------------
+#
+# An integer row is (den, ((col, num), ...)): the row's entries are num / den
+# at the listed columns and zero elsewhere, with den the lcm of the entries'
+# denominators.  Dense integer rows (plain lists) carry no denominator: the
+# elimination kernels only need each row up to a nonzero factor.
+
+
+def _int_row(row: Sequence[Fraction]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    nz = [(j, x) for j, x in enumerate(row) if x]
+    den = math.lcm(*[x.denominator for _, x in nz])
+    return den, tuple((j, x.numerator * (den // x.denominator)) for j, x in nz)
+
+
+def _fraction_row(den: int, nums: Iterable[int]) -> RatVector:
+    """Entries num / den, with zeros as the interned _ZERO."""
+    return tuple(Fraction(v, den) if v else _ZERO for v in nums)
+
+
+def _int_product(arows, brows, cols: int) -> list[tuple[int, list[int]]]:
+    """Rows of A @ B as (den, dense numerators), from the integer rows of A and B.
+
+    Only nonzero entries are multiplied; the denominator of an output row is
+    the A row's times the lcm of the B rows it touches.
+    """
+    out = []
+    for den, anz in arows:
+        terms = [(a, brows[k]) for k, a in anz if brows[k][1]]
+        acc = [0] * cols
+        if terms:
+            lcm = math.lcm(*[db for _, (db, _) in terms])
+            for a, (db, bnz) in terms:
+                c = a * (lcm // db)
+                for j, b in bnz:
+                    acc[j] += c * b
+            den *= lcm
+        out.append((den, acc))
+    return out
+
+
+def _dense(rows, cols: int) -> list[list[int]]:
+    """Integer rows as dense lists of numerators, denominators dropped."""
+    out = []
+    for _, nz in rows:
+        row = [0] * cols
+        for j, v in nz:
+            row[j] = v
+        out.append(row)
+    return out
+
+
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """Clear column c of ``row`` with the pivot row; the result is primitive."""
+    g = math.gcd(row[c], prow[c])
+    f, p = row[c] // g, prow[c] // g
+    out = [p * a - f * b for a, b in zip(row, prow)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _forward(m: list[list[int]], cols: int) -> list[int]:
+    """Integer row echelon form of ``m`` in place; returns the pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            if m[i][c]:
+                m[i] = _eliminate(m[i], m[r], c)
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _back(m: list[list[int]], pivots: list[int]) -> None:
+    """Clear every pivot column above its pivot (echelon form to reduced form)."""
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        for i in range(r):
+            if m[i][c]:
+                m[i] = _eliminate(m[i], m[r], c)
+
+
 class RatMatrix:
     """Immutable dense matrix of exact rationals.
 
-    Multiplication skips zero entries, so the big block-sparse matrices built
-    by the cloning constructors (hundreds of rows, a handful of nonzeros per
-    row) multiply quickly despite the dense storage.
+    The entries are ``Fraction`` rows.  Products, elimination, the symplectic
+    defect and the Darboux basis run on an integer row view instead, built on
+    first use and cached: per row, the lcm of its denominators and the
+    integer numerators of its nonzero entries.  The view holds nonzeros only,
+    so the big block-sparse matrices built by the cloning constructors
+    (hundreds of rows, a handful of nonzeros per row) stay cheap, and dense
+    matrices with large entries cost one integer operation per step where a
+    ``Fraction`` would take a gcd.
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_e", "_iv")
 
     def __init__(self, entries: Sequence[Sequence]):
         e = tuple(tuple(_frac(x) for x in row) for row in entries)
@@ -72,6 +172,7 @@ class RatMatrix:
         self.rows = len(e)
         self.cols = cols
         self._e = e
+        self._iv = None
 
     # -- constructors ------------------------------------------------------
 
@@ -82,7 +183,14 @@ class RatMatrix:
         m._e = e
         m.rows = len(e)
         m.cols = len(e[0]) if e else (cols or 0)
+        m._iv = None
         return m
+
+    def _int_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """The integer row view (see ``_int_row``), built once."""
+        if self._iv is None:
+            self._iv = tuple(map(_int_row, self._e))
+        return self._iv
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
@@ -182,15 +290,10 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other._e]
-        for i, arow in enumerate(self._e):
-            orow = out[i]
-            for k, a in enumerate(arow):
-                if a:
-                    for j, b in sparse_rows[k]:
-                        orow[j] += a * b
-        return RatMatrix._raw(tuple(map(tuple, out)), other.cols)
+        if not (self.cols and other.cols):
+            return RatMatrix.zeros(self.rows, other.cols)
+        rows = _int_product(self._int_rows(), other._int_rows(), other.cols)
+        return RatMatrix._raw(tuple(_fraction_row(den, acc) for den, acc in rows), other.cols)
 
     def apply(self, v: Sequence) -> RatVector:
         v = vec(v)
@@ -227,65 +330,50 @@ class RatMatrix:
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        m = [list(row) for row in self._e]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            piv = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return RatMatrix._raw(tuple(map(tuple, m)), self.cols), pivots
+        m = _dense(self._int_rows(), self.cols)
+        pivots = _forward(m, self.cols)
+        _back(m, pivots)
+        red = [_fraction_row(m[r][c], m[r]) for r, c in enumerate(pivots)]
+        red += [(_ZERO,) * self.cols] * (self.rows - len(pivots))
+        return RatMatrix._raw(tuple(red), self.cols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_forward(_dense(self._int_rows(), self.cols), self.cols))
 
     def det(self) -> Fraction:
+        """Determinant by fraction-free (Bareiss) elimination of the integer rows."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        m = [list(row) for row in self._e]
         n = self.rows
-        d = Fraction(1)
+        rows = self._int_rows()
+        m = _dense(rows, n)
+        sign = prev = 1
         for c in range(n):
             piv = next((i for i in range(c, n) if m[i][c]), None)
             if piv is None:
-                return Fraction(0)
+                return _ZERO
             if piv != c:
                 m[c], m[piv] = m[piv], m[c]
-                d = -d
-            d *= m[c][c]
-            inv = 1 / m[c][c]
+                sign = -sign
+            p = m[c][c]
             for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return d
+                f = m[i][c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[c])]
+            prev = p
+        return Fraction(sign * prev, math.prod(den for den, _ in rows))
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
-        aug = RatMatrix._raw(
-            tuple(
-                self._e[i] + tuple(_ONE if i == j else _ZERO for j in range(n))
-                for i in range(n)
-            ),
-            2 * n,
-        )
-        red, pivots = aug.rref()
+        m = _dense(self._int_rows(), 2 * n)
+        for i, (den, _) in enumerate(self._int_rows()):
+            m[i][n + i] = den  # [A | I], row i scaled by den
+        pivots = _forward(m, 2 * n)
         if pivots[:n] != list(range(n)):
             raise DegenerateFormError("matrix is singular")
-        return RatMatrix._raw(tuple(red.row(i)[n:] for i in range(n)), n)
+        _back(m, pivots)
+        return RatMatrix._raw(tuple(_fraction_row(m[r][r], m[r][n:]) for r in range(n)), n)
 
     # -- serialization -----------------------------------------------------
 
@@ -387,7 +475,20 @@ def symplectic_defect(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> Ra
         raise ShapeError(
             f"map {S.shape} does not match forms of dim {form_in.dim} -> {form_out.dim}"
         )
-    return S.T @ form_out.matrix @ S - form_in.matrix
+    pushed = _int_product(form_out.matrix._int_rows(), S._int_rows(), S.cols)
+    pushed = [(den, tuple((j, v) for j, v in enumerate(acc) if v)) for den, acc in pushed]
+    columns = [_int_row(S.column(j)) for j in range(S.cols)]  # the rows of S^T
+    rows = []
+    for (den, acc), (wden, wnz) in zip(
+        _int_product(columns, pushed, S.cols), form_in.matrix._int_rows()
+    ):
+        # acc / den - form_in row, over the denominator den * wden
+        if wden != 1:
+            acc = [v * wden for v in acc]
+        for j, w in wnz:
+            acc[j] -= w * den
+        rows.append(_fraction_row(den * wden, acc))
+    return RatMatrix._raw(tuple(rows), S.cols)
 
 
 def is_symplectic_map(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> bool:
@@ -403,35 +504,49 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
     canonical one; verify with the pullback identity rather than comparing P.
     """
     n = form.dim
-    remaining = [tuple(Fraction(i == j) for i in range(n)) for j in range(n)]
-    columns: list[RatVector] = []
+    # the form as omega / den with omega an integer matrix (sparse rows)
+    rows = form.matrix._int_rows()
+    den = math.lcm(*[d for d, _ in rows])
+    omega = [[(j, v * (den // d)) for j, v in nz] for d, nz in rows]
 
-    def dot(u: RatVector, w: RatVector) -> Fraction:
-        return sum((a * b for a, b in zip(u, w) if a and b), Fraction(0))
+    def apply(u: list[int]) -> list[int]:
+        return [sum(v * u[j] for j, v in row) for row in omega]
 
+    # each vector is scale * u, with u a primitive integer vector, so
+    # pair(x, y) = x.scale * y.scale * dot(x.u, omega y.u) / den
+    remaining = [(_ONE, [int(i == j) for i in range(n)]) for j in range(n)]
+    columns: list[tuple[Fraction, list[int]]] = []
     while remaining:
-        e = remaining.pop(0)
-        we = form.matrix.apply(e)  # pair(v, e) = dot(v, we)
-        idx = next((i for i, v in enumerate(remaining) if dot(v, we)), None)
+        se, ue = remaining.pop(0)
+        we = apply(ue)
+        along_e = [sum(map(mul, u, we)) for _, u in remaining]
+        idx = next((i for i, x in enumerate(along_e) if x), None)
         if idx is None:
             # cannot happen for a valid SkewForm; guards direct misuse
             raise DegenerateFormError("form is degenerate on the remaining subspace")
-        f = remaining.pop(idx)
-        s = -dot(f, we)  # pair(e, f)
-        f = tuple(x / s for x in f)
-        columns.append(e)
-        columns.append(f)
-        wf = form.matrix.apply(f)
+        sf, uf = remaining.pop(idx)
+        # f /= pair(e, f), so that pair(e, f) = 1
+        sf /= sf * se * Fraction(-along_e.pop(idx), den)
+        columns += [(se, ue), (sf, uf)]
+        wf = apply(uf)
+        # v - pair(v, f) e + pair(v, e) f
+        #   = v.scale * (v.u + t (dot(v.u, omega e.u) f.u - dot(v.u, omega f.u) e.u))
+        t = se * sf / den
         projected = []
-        for v in remaining:
-            a = dot(v, wf)  # pair(v, f), component along e
-            b = dot(v, we)  # pair(v, e), component along f
+        for (sv, uv), b in zip(remaining, along_e):
+            a = sum(map(mul, uv, wf))
             if not a and not b:
-                projected.append(v)
-            else:
-                projected.append(tuple(x - a * ex + b * fx for x, ex, fx in zip(v, e, f)))
+                projected.append((sv, uv))
+                continue
+            tb, ta = t.numerator * b, t.numerator * a
+            w = [t.denominator * x + tb * y - ta * z for x, y, z in zip(uv, uf, ue)]
+            g = math.gcd(*w)
+            projected.append((sv * Fraction(g, t.denominator), [x // g for x in w]))
         remaining = projected
-    return RatMatrix.from_columns(columns) if columns else RatMatrix.zeros(0, 0)
+    if not columns:
+        return RatMatrix.zeros(0, 0)
+    cols = [_fraction_row(s.denominator, [s.numerator * x for x in u]) for s, u in columns]
+    return RatMatrix._raw(tuple(zip(*cols)), n)
 
 
 def form_kernel(matrix: RatMatrix) -> list[RatVector]:

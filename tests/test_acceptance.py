@@ -20,7 +20,6 @@ from symclone import (
     basic_cloner,
     basis_cloner,
     check_cloning_diagram,
-    check_traditional_diagram,
     clone_residual_probe,
     darboux_basis,
     diagram_from_process,
@@ -39,6 +38,7 @@ from symclone.cli import run as cli_run
 from symclone.diagrams import AffineMap, CloningDiagram
 from symclone.quantum import random_isometry, random_state
 from conftest import random_skew_form
+from oracles import check_traditional_diagram
 
 
 def report(name, ok):

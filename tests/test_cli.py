@@ -93,6 +93,12 @@ class TestReadoutSolve:
         assert report["infeasible"] is True
         assert report["reason"] == "rank"
 
+    def test_negative_dimension_is_a_usage_error(self, capsys):
+        code, out, err = run_capture(capsys, "readout-solve", "--m", "-1", "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: dimensions must be nonnegative\n"
+
 
 class TestSizeWitness:
     def _write_undersized(self, tmp_path):
@@ -137,6 +143,12 @@ class TestQuantumRefute:
         code, _, err = run_capture(capsys, "quantum-refute", "--dim", "1")
         assert code == 2
         assert "no valid state pair" in err
+
+    def test_dimension_zero_is_a_usage_error(self, capsys):
+        code, out, err = run_capture(capsys, "quantum-refute", "--dim", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: d must be >= 1\n"
 
 
 class TestProbe:

@@ -12,7 +12,6 @@ from symclone import (
     basic_cloner,
     basis_cloner,
     check_cloning_diagram,
-    check_traditional_diagram,
     diagram_from_process,
     general_cloner,
     hilbert_cloning_diagram,
@@ -24,6 +23,7 @@ from symclone import (
     zero_vec,
 )
 from conftest import random_skew_form
+from oracles import check_traditional_diagram
 
 
 class TestInstanceCoherence:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symclone import (
@@ -19,6 +19,7 @@ from symclone import (
     vec,
 )
 from conftest import random_skew_form
+import oracles
 
 J2 = RatMatrix([[0, 1], [-1, 0]])
 
@@ -201,3 +202,115 @@ class TestSerialization:
         data["rows"] = 2
         with pytest.raises(ShapeError):
             RatMatrix.from_json(data)
+
+
+# Entries for the kernel-versus-reference tests: zeros, and rationals with
+# negative numerators and denominators up to 10^6.
+_NONZERO = st.builds(
+    Fraction, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 10**6)
+)
+RATIONALS = st.one_of(st.just(Fraction(0)), _NONZERO, _NONZERO)
+
+
+@st.composite
+def rat_matrices(draw, rows=None, cols=None):
+    """Random rational matrices, 0 to 5 on a side, with zero rows and
+    repeated (rescaled) rows mixed in so that rank deficiency is common."""
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    body = []
+    for i in range(rows):
+        kind = draw(st.sampled_from(("fresh", "fresh", "fresh", "zero", "repeat")))
+        if kind == "zero":
+            body.append([0] * cols)
+        elif kind == "repeat" and i:
+            scale = draw(st.sampled_from((1, -1, Fraction(-7, 3))))
+            body.append([scale * x for x in body[draw(st.integers(0, i - 1))]])
+        else:
+            body.append(draw(st.lists(RATIONALS, min_size=cols, max_size=cols)))
+    return RatMatrix(body) if rows else RatMatrix.zeros(0, cols)
+
+
+class TestIntegerKernels:
+    """The integer kernels return the same matrices as the Fraction reference."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matmul_matches_the_reference(self, data):
+        a = data.draw(rat_matrices())
+        b = data.draw(rat_matrices(rows=a.cols))
+        assert a @ b == oracles.matmul(a, b)
+
+    @given(rat_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_and_rank_match_the_reference(self, m):
+        red, pivots = m.rref()
+        assert (red, pivots) == oracles.rref(m)
+        assert m.rank() == len(pivots)
+
+    @given(st.integers(0, 5).flatmap(lambda n: rat_matrices(rows=n, cols=n)))
+    @example(RatMatrix.permutation([1, 0, 2]))  # one row swap: the sign flips
+    @example(RatMatrix([[0, "1/2", 0], [0, 0, -3], ["5/7", 1, 0]]))
+    @settings(max_examples=150, deadline=None)
+    def test_det_and_inverse_match_the_reference(self, m):
+        n = m.rows
+        assert m.det() == oracles.det(m)
+        # the inverse is the right half of rref([m | I])
+        eye = RatMatrix.identity(n)
+        red, pivots = oracles.rref(RatMatrix([m.row(i) + eye.row(i) for i in range(n)]))
+        if pivots[:n] != list(range(n)):
+            with pytest.raises(DegenerateFormError):
+                m.inverse()
+        else:
+            assert m.inverse() == RatMatrix([red.row(i)[n:] for i in range(n)])
+
+    @given(st.integers(0, 2**32), st.sampled_from((2, 4, 6)))
+    @settings(max_examples=40, deadline=None)
+    def test_symplectic_defect_matches_the_reference(self, seed, dim):
+        rng = random.Random(seed)
+        form_in, form_out = random_skew_form(dim, rng), random_skew_form(dim, rng)
+        s = RatMatrix(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 10**6)) for _ in range(dim)] for _ in range(dim)]
+        )
+        pulled = oracles.matmul(oracles.matmul(s.T, form_out.matrix), s)
+        assert symplectic_defect(s, form_in, form_out) == pulled - form_in.matrix
+
+    def test_symplectic_defect_of_a_map_into_the_zero_space(self):
+        # S^T . 0 . S is the zero 2x2 matrix, so the defect is -form_in
+        assert symplectic_defect(RatMatrix.zeros(0, 2), standard_form(1), standard_form(0)) == -J2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_darboux_basis_equals_the_reference(self, seed):
+        rng = random.Random(seed)
+        for dim in range(0, 13, 2):
+            f = random_skew_form(dim, rng)
+            assert darboux_basis(f) == oracles.darboux_basis(f)
+
+
+class TestRowViewCache:
+    def test_equality_hash_and_json_ignore_the_cached_view(self):
+        m = RatMatrix([["1/2", "0", "-3"], ["0", "0", "0"], ["5/7", "2", "1/1000000"]])
+        twin = RatMatrix(m.tolist())
+        before = (hash(m), m.to_json(), repr(m))
+        m @ m.T  # builds the integer row views of both operands
+        assert m._iv is not None
+        assert m == twin and twin == m
+        assert (hash(m), m.to_json(), repr(m)) == before
+        assert hash(m) == hash(twin)
+
+    def test_raw_zero_and_block_diagonal_matrices_multiply(self):
+        a = RatMatrix([["1/2", "-3"], ["0", "7/5"]])
+        b = RatMatrix([[1, "2/3", 0], [0, "-1/4", 5]])
+        cases = [
+            (RatMatrix._raw((), 2), b),
+            (RatMatrix.zeros(0, 2), b),
+            (RatMatrix.zeros(3, 0), RatMatrix.zeros(0, 4)),
+            (RatMatrix.zeros(3, 2), b),
+            (a, RatMatrix.zeros(2, 0)),
+            (RatMatrix.block_diag(a, J2), RatMatrix.block_diag(b, a)),
+            (RatMatrix.block_diag(), RatMatrix.zeros(0, 3)),
+        ]
+        for left, right in cases:
+            product = left @ right
+            assert product.shape == (left.rows, right.cols)
+            assert product == oracles.matmul(left, right)
