@@ -38,6 +38,7 @@ from .exact import (
     standard_form,
 )
 from .quantum import (
+    HypothesisViolationError,
     complex_matrix_from_json,
     complex_vector_from_json,
     standard_refutation,
@@ -123,6 +124,8 @@ def _cmd_darboux(args) -> int:
 
 
 def _cmd_readout_solve(args) -> int:
+    if args.m < 0 or args.k < 0:
+        raise CliError("dimensions must be nonnegative")
     try:
         F = readout_solver(args.m, args.k)
     except InfeasibleError as exc:
@@ -132,8 +135,6 @@ def _cmd_readout_solve(args) -> int:
             [f"infeasible: {exc}"],
         )
         return EXIT_FAIL
-    except ValueError as exc:  # negative m or k
-        raise CliError(str(exc))
     _emit(
         {"infeasible": False, "readout": F.to_json()},
         args.format,
@@ -162,9 +163,11 @@ def _cmd_size_witness(args) -> int:
 
 
 def _cmd_quantum_refute(args) -> int:
+    if args.dim < 1:
+        raise CliError("d must be >= 1")
     try:
         refutation = standard_refutation(args.dim, args.psi_overlap)
-    except ValueError as exc:  # HypothesisViolationError included
+    except HypothesisViolationError as exc:
         raise CliError(str(exc))
     _emit(
         refutation.to_json(),

@@ -3,12 +3,11 @@
 Entries are stored as ``fractions.Fraction``, and every verdict is an exact
 identity: skew forms are checked exactly, symplectic-map identities hold with
 zero tolerance, and the Darboux normalization is a rational symplectic
-Gram-Schmidt.  The kernels (products, elimination, the symplectic defect and
-the Darboux basis) run on integers instead: each matrix caches an integer row
-view, a common denominator per row with the integer numerators of the row's
-nonzero entries, and a result entry becomes a ``Fraction`` only once, at the
-end.  Floating point only appears in the numerical probe and the quantum
-module, never here.
+Gram-Schmidt.  The kernels (products, elimination and the Darboux basis) run
+on integers instead: each call reads its operands as integer rows, a common
+denominator per row with the integer numerators of the row's nonzero entries,
+and a result entry becomes a ``Fraction`` only once, at the end.  Floating
+point only appears in the numerical probe and the quantum module, never here.
 """
 
 from __future__ import annotations
@@ -70,6 +69,10 @@ def _int_row(row: Sequence[Fraction]) -> tuple[int, tuple[tuple[int, int], ...]]
     nz = [(j, x) for j, x in enumerate(row) if x]
     den = math.lcm(*[x.denominator for _, x in nz])
     return den, tuple((j, x.numerator * (den // x.denominator)) for j, x in nz)
+
+
+def _int_rows(m: "RatMatrix") -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    return [_int_row(row) for row in m._e]
 
 
 def _fraction_row(den: int, nums: Iterable[int]) -> RatVector:
@@ -149,17 +152,16 @@ def _back(m: list[list[int]], pivots: list[int]) -> None:
 class RatMatrix:
     """Immutable dense matrix of exact rationals.
 
-    The entries are ``Fraction`` rows.  Products, elimination, the symplectic
-    defect and the Darboux basis run on an integer row view instead, built on
-    first use and cached: per row, the lcm of its denominators and the
-    integer numerators of its nonzero entries.  The view holds nonzeros only,
-    so the big block-sparse matrices built by the cloning constructors
-    (hundreds of rows, a handful of nonzeros per row) stay cheap, and dense
-    matrices with large entries cost one integer operation per step where a
-    ``Fraction`` would take a gcd.
+    The entries are ``Fraction`` rows.  Products, elimination and the Darboux
+    basis read them per call as integer rows: per row, the lcm of its
+    denominators and the integer numerators of its nonzero entries.  Only
+    nonzeros are kept, so the big block-sparse matrices built by the cloning
+    constructors (hundreds of rows, a handful of nonzeros per row) stay cheap,
+    and dense matrices with large entries cost one integer operation per step
+    where a ``Fraction`` would take a gcd.
     """
 
-    __slots__ = ("rows", "cols", "_e", "_iv")
+    __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Sequence[Sequence]):
         e = tuple(tuple(_frac(x) for x in row) for row in entries)
@@ -172,7 +174,6 @@ class RatMatrix:
         self.rows = len(e)
         self.cols = cols
         self._e = e
-        self._iv = None
 
     # -- constructors ------------------------------------------------------
 
@@ -183,14 +184,7 @@ class RatMatrix:
         m._e = e
         m.rows = len(e)
         m.cols = len(e[0]) if e else (cols or 0)
-        m._iv = None
         return m
-
-    def _int_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """The integer row view (see ``_int_row``), built once."""
-        if self._iv is None:
-            self._iv = tuple(map(_int_row, self._e))
-        return self._iv
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
@@ -292,7 +286,7 @@ class RatMatrix:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         if not (self.cols and other.cols):
             return RatMatrix.zeros(self.rows, other.cols)
-        rows = _int_product(self._int_rows(), other._int_rows(), other.cols)
+        rows = _int_product(_int_rows(self), _int_rows(other), other.cols)
         return RatMatrix._raw(tuple(_fraction_row(den, acc) for den, acc in rows), other.cols)
 
     def apply(self, v: Sequence) -> RatVector:
@@ -310,6 +304,8 @@ class RatMatrix:
 
     @property
     def T(self) -> "RatMatrix":
+        if not self.rows:
+            return RatMatrix.zeros(self.cols, 0)
         return RatMatrix._raw(tuple(zip(*self._e)), self.rows)
 
     def is_zero(self) -> bool:
@@ -330,7 +326,7 @@ class RatMatrix:
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        m = _dense(self._int_rows(), self.cols)
+        m = _dense(_int_rows(self), self.cols)
         pivots = _forward(m, self.cols)
         _back(m, pivots)
         red = [_fraction_row(m[r][c], m[r]) for r, c in enumerate(pivots)]
@@ -338,36 +334,36 @@ class RatMatrix:
         return RatMatrix._raw(tuple(red), self.cols), pivots
 
     def rank(self) -> int:
-        return len(_forward(_dense(self._int_rows(), self.cols), self.cols))
+        return len(_forward(_dense(_int_rows(self), self.cols), self.cols))
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free (Bareiss) elimination of the integer rows."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
+        m = [list(row) for row in self._e]
         n = self.rows
-        rows = self._int_rows()
-        m = _dense(rows, n)
-        sign = prev = 1
+        d = Fraction(1)
         for c in range(n):
             piv = next((i for i in range(c, n) if m[i][c]), None)
             if piv is None:
-                return _ZERO
+                return Fraction(0)
             if piv != c:
                 m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            p = m[c][c]
+                d = -d
+            d *= m[c][c]
+            inv = 1 / m[c][c]
             for i in range(c + 1, n):
-                f = m[i][c]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[c])]
-            prev = p
-        return Fraction(sign * prev, math.prod(den for den, _ in rows))
+                if m[i][c]:
+                    f = m[i][c] * inv
+                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+        return d
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
-        m = _dense(self._int_rows(), 2 * n)
-        for i, (den, _) in enumerate(self._int_rows()):
+        rows = _int_rows(self)
+        m = _dense(rows, 2 * n)
+        for i, (den, _) in enumerate(rows):
             m[i][n + i] = den  # [A | I], row i scaled by den
         pivots = _forward(m, 2 * n)
         if pivots[:n] != list(range(n)):
@@ -475,16 +471,16 @@ def symplectic_defect(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> Ra
         raise ShapeError(
             f"map {S.shape} does not match forms of dim {form_in.dim} -> {form_out.dim}"
         )
-    pushed = _int_product(form_out.matrix._int_rows(), S._int_rows(), S.cols)
-    pushed = [(den, tuple((j, v) for j, v in enumerate(acc) if v)) for den, acc in pushed]
-    columns = [_int_row(S.column(j)) for j in range(S.cols)]  # the rows of S^T
+    # S^T . (form_out . S) - form_in in integers: the middle product and the
+    # difference never become Fractions
+    pushed = _int_product(_int_rows(form_out.matrix), _int_rows(S), S.cols)
+    pushed = [(den, [(j, v) for j, v in enumerate(acc) if v]) for den, acc in pushed]
     rows = []
     for (den, acc), (wden, wnz) in zip(
-        _int_product(columns, pushed, S.cols), form_in.matrix._int_rows()
+        _int_product(_int_rows(S.T), pushed, S.cols), _int_rows(form_in.matrix)
     ):
-        # acc / den - form_in row, over the denominator den * wden
-        if wden != 1:
-            acc = [v * wden for v in acc]
+        # acc / den - w / wden, over the denominator den * wden
+        acc = [v * wden for v in acc]
         for j, w in wnz:
             acc[j] -= w * den
         rows.append(_fraction_row(den * wden, acc))
@@ -505,7 +501,7 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
     """
     n = form.dim
     # the form as omega / den with omega an integer matrix (sparse rows)
-    rows = form.matrix._int_rows()
+    rows = _int_rows(form.matrix)
     den = math.lcm(*[d for d, _ in rows])
     omega = [[(j, v * (den // d)) for j, v in nz] for d, nz in rows]
 

@@ -57,27 +57,6 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     return red, pivots
 
 
-def det(m: RatMatrix) -> Fraction:
-    """Determinant as the signed product of Fraction elimination pivots."""
-    assert m.rows == m.cols
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    n = m.rows
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            d = -d
-        d *= rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / rows[c][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return d
-
-
 def darboux_basis(form: SkewForm) -> RatMatrix:
     """Rational symplectic Gram-Schmidt over Fractions, column by column."""
     n = form.dim

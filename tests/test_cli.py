@@ -122,7 +122,13 @@ class TestSizeWitness:
         assert code == 1
         witness = json.loads(out)
         assert any(x != "0" for x in witness["vector"])
-        assert all(x == "0" for x in witness["pullback_row"])
+        assert witness["pullback_row"] == ["0", "0"]  # one entry per object coordinate
+
+    def test_verify_gives_a_verdict_for_a_zero_dimensional_machine(self, tmp_path, capsys):
+        path = self._write_undersized(tmp_path)
+        code, out, err = run_capture(capsys, "verify", "--input", str(path))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["verdict"] == "fail"
 
     def test_big_enough_machine_is_not_applicable(self, tmp_path, capsys):
         _, out, _ = run_capture(capsys, "construct-basic")
