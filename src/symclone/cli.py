@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .classical import (
     CloningProcess,
     InfeasibleError,
@@ -47,6 +49,9 @@ from .quantum import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# quantum-refute builds a dense d^2 x d^2 complex unitary: 268 MB at d = 64
+_MAX_REFUTE_DIM = 64
 
 
 def _emit(report: dict, fmt: str, human_lines) -> None:
@@ -165,6 +170,10 @@ def _cmd_size_witness(args) -> int:
 def _cmd_quantum_refute(args) -> int:
     if args.dim < 1:
         raise CliError("d must be >= 1")
+    if args.dim > _MAX_REFUTE_DIM:
+        raise CliError(
+            f"--dim must be at most {_MAX_REFUTE_DIM} (the basis cloner is a d^2 x d^2 complex matrix)"
+        )
     try:
         refutation = standard_refutation(args.dim, args.psi_overlap)
     except HypothesisViolationError as exc:
@@ -193,25 +202,21 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _hilbert_diagram(data: dict):
+    return hilbert_cloning_diagram(
+        complex_matrix_from_json(data["unitary"]),
+        complex_vector_from_json(data["beta"]),
+        complex_vector_from_json(data["rho"]) if "rho" in data else None,
+    )
+
+
 def _cmd_diagram_check(args) -> int:
     if args.instance == "symp":
         process = _load(args.input, CloningProcess.from_json)
         inst, diagram = diagram_from_process(process)
         report = check_cloning_diagram(inst, diagram)
     else:
-        data = _load_json(args.input)
-        try:
-            U = complex_matrix_from_json(data["unitary"])
-            beta = complex_vector_from_json(data["beta"])
-            rho = complex_vector_from_json(data["rho"]) if "rho" in data else None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{args.input}: missing or malformed field: {exc}")
-        try:
-            inst, diagram = hilbert_cloning_diagram(U, beta, rho)
-        except ShapeError as exc:
-            raise CliError(f"{args.input}: {exc}")
-        import numpy as np
-
+        inst, diagram = _load(args.input, _hilbert_diagram)
         states = inst.sample_states(diagram.object_a, count=args.samples,
                                     rng=np.random.default_rng(args.seed))
         report = check_cloning_diagram(inst, diagram, states)

@@ -197,16 +197,6 @@ class RatMatrix:
         )
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "RatMatrix":
-        cols = [vec(c) for c in columns]
-        if not cols:
-            return cls.zeros(0, 0)
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise ShapeError("columns of unequal length")
-        return cls._raw(tuple(tuple(col[i] for col in cols) for i in range(n)), len(cols))
-
-    @classmethod
     def permutation(cls, perm: Sequence[int]) -> "RatMatrix":
         """Matrix P with (P v)[i] = v[perm[i]]."""
         n = len(perm)
@@ -237,9 +227,6 @@ class RatMatrix:
 
     def row(self, i: int) -> RatVector:
         return self._e[i]
-
-    def column(self, j: int) -> RatVector:
-        return tuple(row[j] for row in self._e)
 
     def tolist(self) -> list[list[Fraction]]:
         return [list(row) for row in self._e]
@@ -276,10 +263,6 @@ class RatMatrix:
             ),
             self.cols,
         )
-
-    def scale(self, s) -> "RatMatrix":
-        s = _frac(s)
-        return RatMatrix._raw(tuple(tuple(s * x for x in row) for row in self._e), self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -335,27 +318,6 @@ class RatMatrix:
 
     def rank(self) -> int:
         return len(_forward(_dense(_int_rows(self), self.cols), self.cols))
-
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ShapeError("determinant of a non-square matrix")
-        m = [list(row) for row in self._e]
-        n = self.rows
-        d = Fraction(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                d = -d
-            d *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return d
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:

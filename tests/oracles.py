@@ -3,9 +3,11 @@
 The exact kernels are the straightforward ``Fraction`` versions: every
 multiply, add and zero test is a rational operation.  They are slow but
 obviously right, so the integer kernels in ``symclone.exact`` must return
-equal matrices (and equal pivots).  ``check_traditional_diagram`` codes the
-machine-free cloning diagram directly, so the reduction law of the generic
-checker can be tested against it.
+equal matrices (and equal pivots).  ``det`` has no program counterpart: the
+tests use it to check that constructed maps have determinant one.
+``check_traditional_diagram`` codes the machine-free cloning diagram
+directly, so the reduction law of the generic checker can be tested against
+it.
 """
 
 from __future__ import annotations
@@ -84,7 +86,29 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
             else:
                 projected.append(tuple(x - a * ex + b * fx for x, ex, fx in zip(v, e, f)))
         remaining = projected
-    return RatMatrix.from_columns(columns) if columns else RatMatrix.zeros(0, 0)
+    return RatMatrix(list(zip(*columns))) if columns else RatMatrix.zeros(0, 0)
+
+
+def det(m: RatMatrix) -> Fraction:
+    """Determinant by Fraction Gaussian elimination."""
+    assert m.rows == m.cols
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    n = m.rows
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            d = -d
+        d *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return d
 
 
 def check_traditional_diagram(

@@ -1,8 +1,14 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import symclone
 from symclone import (
     CloningProcess,
     CloningVerificationError,
@@ -231,6 +237,27 @@ class TestVerifyFailures:
         assert not rep.passed
         assert rep.symplectic_defect_norm == 0  # symplecticity is offset-free
 
+    def test_machine_offset_cancels_in_the_readout_check(self):
+        # phi(x, b, r) = (x, x, Fx + r): a nonzero ready state moves the
+        # machine output of every basis state alike, and the readout check
+        # takes that offset back out, so the inferred readout is phi[2m:, :m]
+        f = RatMatrix([[1, 0], [0, -1]])
+        phi = RatMatrix(
+            [
+                [1, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0],
+                [1, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0],
+                [1, 0, 0, 0, 1, 0],
+                [0, -1, 0, 0, 0, 1],
+            ]
+        )
+        j = standard_form(1)
+        rep = verify_cloning(CloningProcess(j, zero_vec(2), j, vec([1, 0]), phi, f))
+        assert rep.cloning_residual == 0
+        assert rep.inferred_readout == f
+        assert rep.reason == "map is not symplectic for the product form"
+
 
 class TestReadoutSolver:
     def test_square_case_is_the_sign_flip(self):
@@ -302,6 +329,27 @@ class TestResidualProbe:
         b = clone_residual_probe(2, 1, 200, seed=8)
         assert a == b
         assert a > 0
+
+    @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (4, 2)])
+    def test_reaches_the_rank_bound(self, m, k):
+        # the least defect with a 2k-dimensional machine is sqrt(2(m - k)):
+        # the search must find it, not merely stay above it
+        best = clone_residual_probe(m, k, 5000, seed=0)
+        assert math.sqrt(2 * (m - k)) - 1e-6 <= best <= math.sqrt(2 * (m - k)) + 1e-6
+
+    def test_runs_without_scipy(self):
+        code = (
+            "import sys; sys.modules['scipy'] = None; import symclone.cli; "
+            "from symclone import clone_residual_probe; "
+            "print(clone_residual_probe(2, 1, 200, seed=8))"
+        )
+        src = str(Path(symclone.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) == clone_residual_probe(2, 1, 200, seed=8)
 
     def test_feasible_regime_rejected(self):
         with pytest.raises(NotApplicableError):

@@ -156,6 +156,14 @@ class TestQuantumRefute:
         assert out == ""
         assert err == "error: d must be >= 1\n"
 
+    def test_dimension_above_the_cap_is_a_usage_error(self, capsys):
+        # the d^2 x d^2 unitary is never built: the size check comes first
+        code, out, err = run_capture(capsys, "quantum-refute", "--dim", "100000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at most 64" in err
+
 
 class TestProbe:
     def test_probe_reports_bound(self, capsys):
@@ -196,6 +204,27 @@ class TestDiagramCheck:
         report = json.loads(out)
         assert report["failures"] > 0
         assert report["exhaustive"] is False
+
+    @pytest.mark.parametrize("fault", ["missing unitary", "ragged entries", "wrong size"])
+    def test_malformed_hilbert_input_is_a_parse_error(self, tmp_path, capsys, fault):
+        payload = {
+            "unitary": complex_matrix_to_json(basis_cloner(2)),
+            "beta": [[1.0, 0.0], [0.0, 0.0]],
+        }
+        if fault == "missing unitary":
+            del payload["unitary"]
+        elif fault == "ragged entries":
+            payload["unitary"]["entries"][1] = payload["unitary"]["entries"][1][:2]
+        else:
+            payload["unitary"] = complex_matrix_to_json(basis_cloner(3))
+        path = tmp_path / "hilb.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_capture(
+            capsys, "diagram-check", "--instance", "hilb", "--input", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1  # no traceback
 
 
 class TestContract:
