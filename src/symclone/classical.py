@@ -506,6 +506,8 @@ def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
     For k = 0 the defect's object-object block is forced to equal the object
     form itself, so the result is bounded below by sqrt(2m).
     """
+    if m < 0 or k < 0:
+        raise ValueError("dimensions must be nonnegative")
     if k >= m:
         raise NotApplicableError(
             f"k={k} >= m={m}: a true cloning process exists; use readout_solver instead"

@@ -87,7 +87,7 @@ def symplectic_instance() -> DiagramInstance:
         if h.target_dim != g.source_dim:
             raise ShapeError("arrows do not compose")
         return AffineMap(g.matrix @ h.matrix, tuple(
-            a + b for a, b in zip(g.matrix.apply(h.offset), g.offset)
+            (a + b) if b else a for a, b in zip(g.matrix.apply(h.offset), g.offset)
         ))
 
     def tensor(g: AffineMap, h: AffineMap) -> AffineMap:
@@ -254,7 +254,7 @@ def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
 
     def readout(x) -> RatVector:
         fx = process.readout.apply(vec(x))
-        return tuple(a + b for a, b in zip(fx, machine_offset))
+        return tuple((a + b) if b else a for a, b in zip(fx, machine_offset))
 
     diagram = CloningDiagram(
         object_a=process.object_form,

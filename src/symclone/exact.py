@@ -158,13 +158,29 @@ class RatMatrix:
     nonzeros are kept, so the big block-sparse matrices built by the cloning
     constructors (hundreds of rows, a handful of nonzeros per row) stay cheap,
     and dense matrices with large entries cost one integer operation per step
-    where a ``Fraction`` would take a gcd.
+    where a ``Fraction`` would take a gcd.  The constructor parses each
+    distinct string entry once per call, through a memo that dies with the
+    call.
     """
 
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Sequence[Sequence]):
-        e = tuple(tuple(_frac(x) for x in row) for row in entries)
+        # Parsed JSON grids repeat a few strings ("0" above all) thousands of
+        # times, so each distinct string goes through _frac once per call.
+        # Only str entries are memoized: True == 1 == 1.0 share a hash, and a
+        # memo keyed on raw values would let booleans and floats through.
+        parsed: dict[str, Fraction] = {}
+
+        def entry(x) -> Fraction:
+            if type(x) is not str:
+                return _frac(x)
+            f = parsed.get(x)
+            if f is None:
+                f = parsed[x] = _frac(x)
+            return f
+
+        e = tuple(tuple(map(entry, row)) for row in entries)
         if e:
             cols = len(e[0])
             if any(len(row) != cols for row in e):

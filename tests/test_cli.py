@@ -178,6 +178,13 @@ class TestProbe:
         code, _, _ = run_capture(capsys, "probe", "--m", "1", "--k", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("m", ["1", "3"])
+    def test_negative_machine_size_is_a_usage_error(self, capsys, m):
+        code, out, err = run_capture(capsys, "probe", "--m", m, "--k", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: dimensions must be nonnegative\n"
+
 
 class TestDiagramCheck:
     def test_symplectic_pass(self, tmp_path, capsys):

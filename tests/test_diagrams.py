@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from symclone import (
     general_cloner,
     hilbert_cloning_diagram,
     hilbert_instance,
+    product_cloner,
     standard_form,
     symplectic_instance,
     verify_cloning,
@@ -51,6 +53,15 @@ class TestInstanceCoherence:
         lhs = inst.compose(inst.tensor(a, b), inst.tensor(c, d))
         rhs = inst.tensor(inst.compose(a, c), inst.compose(b, d))
         assert inst.equal(lhs, rhs)
+
+    def test_symplectic_compose_adds_the_offsets(self):
+        # (g o h)(v) = G(Hv + h0) + g0 = GH v + (G h0 + g0)
+        inst = symplectic_instance()
+        g = AffineMap(RatMatrix([[1, 2], [0, "1/3"]]), vec(["1/2", -1]))
+        h = AffineMap(RatMatrix([[0, 1], [-1, 0]]), vec([3, "2/3"]))
+        gh = inst.compose(g, h)
+        assert gh.matrix == RatMatrix([[-2, 1], ["-1/3", 0]])
+        assert gh.offset == vec(["29/6", "-7/9"])
 
     def test_symplectic_unit_law(self):
         inst = symplectic_instance()
@@ -110,6 +121,41 @@ class TestSymplecticDiagram:
             inst, diagram = diagram_from_process(c)
             report = check_cloning_diagram(inst, diagram)
             assert report.passed == verify_cloning(c).passed
+
+    def test_agreement_with_verifier_with_nonzero_blank_and_ready(self):
+        # the basic cloner beside an identity machine with ready state (1, 2),
+        # with its input precomposed by the symplectic rotation (3/5, 4/5)
+        # of the copy block into that machine: the blank and the ready state
+        # are both nonzero, and the readout carries the machine offset
+        # (0, 0, 1, 2)
+        shifted = CloningProcess(
+            standard_form(0), (), standard_form(1), vec([1, 2]),
+            RatMatrix.identity(2), RatMatrix.zeros(2, 0),
+        )
+        p = product_cloner(basic_cloner(), shifted)
+        rotation = [[Fraction(int(i == k)) for k in range(8)] for i in range(8)]
+        for y, z in ((2, 6), (3, 7)):
+            rotation[y][y] = rotation[z][z] = Fraction(3, 5)
+            rotation[y][z], rotation[z][y] = Fraction(-4, 5), Fraction(4, 5)
+        process = CloningProcess(
+            p.object_form, vec(["4/5", "8/5"]), p.machine_form, vec([0, 0, "3/5", "6/5"]),
+            p.phi @ RatMatrix(rotation), p.readout,
+        )
+        inst, diagram = diagram_from_process(process)
+        assert diagram.readout(zero_vec(2)) == vec([0, 0, 1, 2])
+        assert verify_cloning(process).passed
+        assert check_cloning_diagram(inst, diagram).passed
+        # an object row, a copy row fed by the blank, a machine row fed by x
+        for i, k in ((0, 0), (2, 3), (5, 0)):
+            rows = process.phi.tolist()
+            rows[i][k] += 1
+            broken = CloningProcess(
+                process.object_form, process.blank, process.machine_form, process.ready,
+                RatMatrix(rows), process.readout,
+            )
+            inst, diagram = diagram_from_process(broken)
+            assert not verify_cloning(broken).passed
+            assert not check_cloning_diagram(inst, diagram).passed
 
     def test_traditional_reduction_agrees(self):
         # B = unit object: compare the generic checker against the directly

@@ -197,6 +197,34 @@ class TestSerialization:
         with pytest.raises(TypeError, match="bool"):
             RatMatrix.from_json({"rows": 1, "cols": 1, "entries": [[False]]})
 
+    @pytest.mark.parametrize(
+        "row", [[1, True], ["1", True], [1, 1.0], ["0", False]], ids=repr
+    )
+    def test_booleans_and_floats_are_rejected_beside_equal_values(self, row):
+        # True == 1 == 1.0 share a hash: the constructor's parse memo must not
+        # let them through on the strength of an equal entry seen earlier
+        with pytest.raises(TypeError):
+            RatMatrix([row])
+
+    def test_zero_denominator_after_repeated_valid_strings(self):
+        with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+            RatMatrix([["1/2", "1/2", "0"], ["0", "1/2", "1/0"]])
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["0", "0", "0", "1", "-1", "1/2", "2/4", "-3/6", "-0", " 3", "3"]),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_repeated_strings_parse_like_fraction(self, grid):
+        m = RatMatrix(grid)
+        assert m.tolist() == [[Fraction(x) for x in row] for row in grid]
+
     def test_mismatched_declared_shape_rejected(self):
         data = RatMatrix([[1, 2]]).to_json()
         data["rows"] = 2
