@@ -30,6 +30,7 @@ from .classical import (
     basic_cloner,
     clone_residual_probe,
     general_cloner,
+    mirror_cloner,
     product_cloner,
     readout_solver,
     shuffle_permutation,

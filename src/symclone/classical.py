@@ -1,11 +1,15 @@
 """Classical cloning processes on symplectic vector spaces.
 
-Constructors build exact cloning processes (the explicit 2-dimensional one,
-products assembled side by side in object/copy/machine order, and the general
-even-dimensional construction through Darboux normalization).  The verifier
-checks candidates with zero tolerance.  The readout-equation solver and the
-kernel witness give the two sides of the machine-size bound, and a
-floating-point probe searches the infeasible regime numerically.
+Constructors build exact cloning processes: the explicit 2-dimensional one,
+products assembled side by side in object/copy/machine order, the mirror
+process for any rational form (the machine is the object with its form
+reversed, and phi is one fixed 3 x 3 rational matrix tensored with the
+identity), and the general construction, which is the mirror process with a
+Darboux basis on the machine block only, so the machine carries the standard
+form.  The verifier checks candidates with zero tolerance.  The
+readout-equation solver and the kernel witness give the two sides of the
+machine-size bound, and a floating-point probe searches the infeasible
+regime numerically.
 """
 
 from __future__ import annotations
@@ -252,33 +256,82 @@ def standard_cloner(n: int) -> CloningProcess:
     return _assemble([basic_cloner()] * n)
 
 
-def general_cloner(form: SkewForm) -> CloningProcess:
-    """Cloning process for an arbitrary even-dimensional rational symplectic space.
+# The entries of C = [[1, 1, 1], [1, -1/2, 1/2], [1, 1/2, 3/2]].  C satisfies
+# C^T diag(1, 1, -1) C = diag(1, 1, -1) and has first column (1, 1, 1), so
+# C (x) I clones any (M, omega) with machine (M, -omega).
+_HALF = Fraction(1, 2)
+_MINUS_HALF = Fraction(-1, 2)
+_THREE_HALVES = Fraction(3, 2)
 
-    Normalizes the form to the standard one (Darboux), takes the n-fold
-    standard cloner, and conjugates the object and copy blocks back into the
-    given coordinates.  The machine has the same dimension as the object and
-    carries the standard form.
+
+def _mirror_assembly(
+    form: SkewForm, machine_form: SkewForm, g: RatMatrix, g_inv: RatMatrix
+) -> CloningProcess:
+    """The process diag(I, I, G^-1) . (C (x) I) . diag(I, I, G), row by row.
+
+    G maps the machine coordinates into the object space and must satisfy
+    G^T (-omega) G = machine form; phi is then
+    [[I, I, G], [I, -I/2, G/2], [G^-1, G^-1/2, 3I/2]], with zero blank and
+    ready states and readout G^-1.
     """
-    n = form.dim // 2
-    std = standard_cloner(n)
-    if form.dim == 0 or form == std.object_form:
-        # already in standard coordinates: the normalizing basis is the
-        # identity and the conjugation is trivial
-        return std
-    p = darboux_basis(form)
-    p_inv = p.inverse()
     d = form.dim
-    t = RatMatrix.block_diag(p, p, RatMatrix.identity(d))
-    t_inv = RatMatrix.block_diag(p_inv, p_inv, RatMatrix.identity(d))
+    zeros = (_ZERO,) * d
+
+    def unit(i: int, x: Fraction) -> RatVector:
+        return zeros[:i] + (x,) + zeros[i + 1 :]
+
+    def halve(row: RatVector) -> RatVector:
+        return tuple(x * _HALF if x else x for x in row)
+
+    rows = [unit(i, _ONE) + unit(i, _ONE) + g.row(i) for i in range(d)]
+    rows += [unit(i, _ONE) + unit(i, _MINUS_HALF) + halve(g.row(i)) for i in range(d)]
+    rows += [g_inv.row(i) + halve(g_inv.row(i)) + unit(i, _THREE_HALVES) for i in range(d)]
     return CloningProcess(
         object_form=form,
         blank=zero_vec(d),
-        machine_form=std.machine_form,
+        machine_form=machine_form,
         ready=zero_vec(d),
-        phi=t @ std.phi @ t_inv,
-        readout=std.readout @ p_inv,
+        phi=RatMatrix._raw(tuple(rows), 3 * d),
+        readout=g_inv,
     )
+
+
+def mirror_cloner(form: SkewForm) -> CloningProcess:
+    """Cloning process whose machine is the object space with its form reversed.
+
+    phi = C (x) I for the fixed 3 x 3 matrix C above, whatever the form:
+    no Darboux basis is involved, the entries are 0, +-1/2, 1 and 3/2, blank
+    and ready are zero, and the readout is the identity, which pulls the
+    machine form -omega back to -omega.
+    """
+    eye = RatMatrix.identity(form.dim)
+    return _mirror_assembly(form, SkewForm._trusted(-form.matrix), eye, eye)
+
+
+def general_cloner(form: SkewForm) -> CloningProcess:
+    """Cloning process for an arbitrary even-dimensional rational symplectic space.
+
+    The machine has the same dimension as the object and carries the
+    standard form.  On the standard form this is ``standard_cloner``.
+    Otherwise it is the mirror process with the Darboux basis on the machine
+    block only: G is ``darboux_basis(form)`` with each column pair swapped,
+    so that G^T (-omega) G = J, and the readout is G^-1.  Object and copy
+    keep the given coordinates, so phi's entries are those of G and G^-1
+    (halved or not), with no products of them; the bit height stays near
+    that of the Darboux basis instead of growing with the lcm of all its
+    denominators.
+    """
+    n = form.dim // 2
+    machine = standard_form(n)
+    if form.dim == 0 or form == machine:
+        return standard_cloner(n)
+    p = darboux_basis(form)
+    # swapping each pair turns P^T omega P = J into G^T (-omega) G = J, which
+    # also gives the inverse without elimination: G^-1 = J^-1 G^T (-omega)
+    # = J G^T omega
+    d = form.dim
+    g = RatMatrix._raw(tuple(tuple(p.row(i)[j ^ 1] for j in range(d)) for i in range(d)))
+    return _mirror_assembly(form, machine, g, machine.matrix @ (g.T @ form.matrix))
 
 
 def verify_cloning(c: CloningProcess) -> VerificationReport:
@@ -311,7 +364,7 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
             reason = why
 
     # image of the blank/ready offset: must be (0, 0, f(0))
-    base = c.phi.apply(zero_vec(dm) + c.blank + c.ready)
+    base = c.phi._apply(zero_vec(dm) + c.blank + c.ready)
     for idx in range(2 * dm):
         track(abs(base[idx]), "offset image leaks into the object/copy blocks")
     base_zero = not any(base)
@@ -422,11 +475,11 @@ def size_witness(candidate: CloningProcess) -> SizeWitness:
     # rank(F) <= 2k < 2m guarantees a kernel vector
     w = kern[0]
     pullback = candidate.readout.T @ candidate.machine_form.matrix @ candidate.readout
-    pullback_row = pullback.apply(w)
-    omega_w = candidate.object_form.matrix.apply(w)
+    pullback_row = pullback._apply(w)
+    omega_w = candidate.object_form.matrix._apply(w)
     j = next(i for i, x in enumerate(omega_w) if x)
     partner = tuple(Fraction(i == j) for i in range(dm))
-    pairing = candidate.object_form.pair(partner, w)
+    pairing = omega_w[j]  # omega(partner, w), partner being basis vector j
     return SizeWitness(vector=w, pullback_row=pullback_row, partner=partner, pairing=pairing)
 
 

@@ -52,6 +52,13 @@ EXIT_USAGE = 2
 
 # quantum-refute builds a dense d^2 x d^2 complex unitary: 268 MB at d = 64
 _MAX_REFUTE_DIM = 64
+# construct-general emits a dense 3N x 3N phi: 25 MB of JSON and about 330 MB
+# resident at N = 400
+_MAX_CONSTRUCT_DIM = 400
+# readout-solve emits a dense 2k x 2m readout: 160,000 entries at 200
+_MAX_READOUT_PAIRS = 200
+# probe runs L-BFGS on dense (4m + 2k)-square float matrices: 96 x 96 at 16
+_MAX_PROBE_PAIRS = 16
 
 
 def _emit(report: dict, fmt: str, human_lines) -> None:
@@ -85,6 +92,10 @@ def _cmd_construct_basic(args) -> int:
 def _cmd_construct_general(args) -> int:
     if args.dim < 0 or args.dim % 2:
         raise CliError(f"--dim must be even and nonnegative, got {args.dim}")
+    if args.dim > _MAX_CONSTRUCT_DIM:
+        raise CliError(
+            f"--dim must be at most {_MAX_CONSTRUCT_DIM} (phi is a dense 3N x 3N matrix), got {args.dim}"
+        )
     process = general_cloner(standard_form(args.dim // 2))
     _emit(
         process.to_json(),
@@ -131,6 +142,10 @@ def _cmd_darboux(args) -> int:
 def _cmd_readout_solve(args) -> int:
     if args.m < 0 or args.k < 0:
         raise CliError("dimensions must be nonnegative")
+    if max(args.m, args.k) > _MAX_READOUT_PAIRS:
+        raise CliError(
+            f"--m and --k must be at most {_MAX_READOUT_PAIRS} (the readout is a dense 2k x 2m matrix)"
+        )
     try:
         F = readout_solver(args.m, args.k)
     except InfeasibleError as exc:
@@ -191,6 +206,11 @@ def _cmd_quantum_refute(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if max(args.m, args.k) > _MAX_PROBE_PAIRS:
+        raise CliError(
+            f"--m and --k must be at most {_MAX_PROBE_PAIRS} "
+            "(the search runs on dense (4m + 2k)-square matrices)"
+        )
     try:
         best = clone_residual_probe(args.m, args.k, args.iters, args.seed)
     except (NotApplicableError, ValueError) as exc:

@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .exact import RatMatrix, RatVector, ShapeError, SkewForm, vec, zero_vec
+from .exact import _ONE, RatMatrix, RatVector, ShapeError, SkewForm, vec, zero_vec
 from .quantum import FLOAT_TOL, kron, slice_amplitudes
 
 
@@ -87,11 +87,15 @@ def symplectic_instance() -> DiagramInstance:
         if h.target_dim != g.source_dim:
             raise ShapeError("arrows do not compose")
         return AffineMap(g.matrix @ h.matrix, tuple(
-            (a + b) if b else a for a, b in zip(g.matrix.apply(h.offset), g.offset)
+            (a + b) if b else a for a, b in zip(g.matrix._apply(h.offset), g.offset)
         ))
 
     def tensor(g: AffineMap, h: AffineMap) -> AffineMap:
-        return AffineMap(RatMatrix.block_diag(g.matrix, h.matrix), g.offset + h.offset)
+        offset = g.offset + h.offset
+        if not (g.source_dim or h.source_dim):
+            # two states (arrows from the unit): the sum has no columns either
+            return AffineMap(RatMatrix.zeros(len(offset), 0), offset)
+        return AffineMap(RatMatrix.block_diag(g.matrix, h.matrix), offset)
 
     def equal(g: AffineMap, h: AffineMap) -> bool:
         return g.matrix == h.matrix and g.offset == h.offset
@@ -104,8 +108,8 @@ def symplectic_instance() -> DiagramInstance:
 
     def sample_states(obj: SkewForm, count: int = 0, rng=None) -> list[RatVector]:
         # zero plus the basis: exhaustive for affine candidate arrows
-        basis = [tuple(int(i == j) for i in range(obj.dim)) for j in range(obj.dim)]
-        return [zero_vec(obj.dim)] + [vec(b) for b in basis]
+        zero = zero_vec(obj.dim)
+        return [zero] + [zero[:j] + (_ONE,) + zero[j + 1 :] for j in range(obj.dim)]
 
     return DiagramInstance(
         name="symplectic",
@@ -249,11 +253,11 @@ def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
     """
     inst = symplectic_instance()
     dm = process.object_dim
-    base = process.phi.apply(zero_vec(dm) + process.blank + process.ready)
+    base = process.phi._apply(zero_vec(dm) + process.blank + process.ready)
     machine_offset = base[2 * dm :]
 
     def readout(x) -> RatVector:
-        fx = process.readout.apply(vec(x))
+        fx = process.readout._apply(vec(x))
         return tuple((a + b) if b else a for a, b in zip(fx, machine_offset))
 
     diagram = CloningDiagram(

@@ -204,7 +204,8 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls._raw(tuple((_ZERO,) * cols for _ in range(rows)), cols)
+        # rows are immutable, so they can all be one tuple
+        return cls._raw(((_ZERO,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -289,7 +290,10 @@ class RatMatrix:
         return RatMatrix._raw(tuple(_fraction_row(den, acc) for den, acc in rows), other.cols)
 
     def apply(self, v: Sequence) -> RatVector:
-        v = vec(v)
+        return self._apply(vec(v))
+
+    def _apply(self, v: RatVector) -> RatVector:
+        # internal fast path: the vector's entries are already exact
         if len(v) != self.cols:
             raise ShapeError(f"cannot apply {self.shape} to a vector of length {len(v)}")
         support = [(j, x) for j, x in enumerate(v) if x]

@@ -7,7 +7,8 @@ equal matrices (and equal pivots).  ``det`` has no program counterpart: the
 tests use it to check that constructed maps have determinant one.
 ``check_traditional_diagram`` codes the machine-free cloning diagram
 directly, so the reduction law of the generic checker can be tested against
-it.
+it.  ``conjugated_cloner`` is the Darboux-conjugated standard process, kept
+as a fixture whose phi is dense with entries hundreds of bits wide.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
-from symclone import RatMatrix, SkewForm
+from symclone import CloningProcess, RatMatrix, SkewForm, standard_cloner
 from symclone.diagrams import DiagramInstance, DiagramReport
 
 _ZERO = Fraction(0)
@@ -87,6 +88,42 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
                 projected.append(tuple(x - a * ex + b * fx for x, ex, fx in zip(v, e, f)))
         remaining = projected
     return RatMatrix(list(zip(*columns))) if columns else RatMatrix.zeros(0, 0)
+
+
+def inverse(m: RatMatrix) -> RatMatrix:
+    """Inverse of an invertible matrix: the right half of rref([m | I])."""
+    n = m.rows
+    eye = RatMatrix.identity(n)
+    red, pivots = rref(RatMatrix([m.row(i) + eye.row(i) for i in range(n)]))
+    assert pivots[:n] == list(range(n)), "matrix is singular"
+    return RatMatrix([red.row(i)[n:] for i in range(n)])
+
+
+def conjugated_cloner(form: SkewForm) -> CloningProcess:
+    """The standard process carried to ``form`` by conjugating its object and
+    copy blocks with a Darboux basis P (P^T omega P = J) and its inverse.
+
+    phi = T . standard phi . T^-1 with T = diag(P, P, I), readout F . P^-1,
+    and the machine keeps the standard form.  Every object and copy entry of
+    phi mixes all of P's columns, so it carries a denominator near the lcm of
+    all of P's: 65 bits at dim 12, 223 at dim 20.  Built with the reference
+    kernels only.
+    """
+    d = form.dim
+    std = standard_cloner(d // 2)
+    p = darboux_basis(form)
+    p_inv = inverse(p)
+    eye = RatMatrix.identity(d)
+    t = RatMatrix.block_diag(p, p, eye)
+    t_inv = RatMatrix.block_diag(p_inv, p_inv, eye)
+    return CloningProcess(
+        object_form=form,
+        blank=std.blank,
+        machine_form=std.machine_form,
+        ready=std.ready,
+        phi=matmul(matmul(t, std.phi), t_inv),
+        readout=matmul(std.readout, p_inv),
+    )
 
 
 def det(m: RatMatrix) -> Fraction:

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symclone
 from symclone import (
@@ -18,8 +20,10 @@ from symclone import (
     SkewForm,
     basic_cloner,
     clone_residual_probe,
+    darboux_basis,
     general_cloner,
     is_symplectic_map,
+    mirror_cloner,
     product_cloner,
     readout_solver,
     shuffle_permutation,
@@ -172,6 +176,65 @@ class TestProductCloner:
             assert direct.readout == folded.readout
 
 
+# The 3x3 matrix behind the mirror process, and the form it preserves
+C = RatMatrix([[1, 1, 1], [1, "-1/2", "1/2"], [1, "1/2", "3/2"]])
+D = RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+
+
+def _bits(m: RatMatrix) -> int:
+    return max(
+        (max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+         for row in m.tolist() for x in row),
+        default=0,
+    )
+
+
+def _machine_basis(form: SkewForm) -> RatMatrix:
+    """G: the Darboux basis with each column pair swapped."""
+    p = darboux_basis(form)
+    return RatMatrix([[p[i, j ^ 1] for j in range(p.cols)] for i in range(p.rows)])
+
+
+# forms of dims 2..12, as (dim, seed) pairs for conftest.random_skew_form
+_FORMS = st.tuples(st.integers(1, 6), st.integers(0, 2**32)).map(
+    lambda ns: random_skew_form(2 * ns[0], random.Random(ns[1]))
+)
+
+
+class TestMirrorCloner:
+    def test_c_preserves_the_form_and_copies(self):
+        assert C.T @ D @ C == D
+        assert [C[i, 0] for i in range(3)] == [1, 1, 1]
+
+    @pytest.mark.parametrize("dim", [0, 2, 6])
+    def test_phi_is_c_tensor_identity(self, dim):
+        form = random_skew_form(dim, random.Random(dim)) if dim else standard_form(0)
+        c = mirror_cloner(form)
+        expected = [
+            [C[a, b] * (i == j) for b in range(3) for j in range(dim)]
+            for a in range(3) for i in range(dim)
+        ]
+        assert c.phi == (RatMatrix(expected) if dim else RatMatrix.zeros(0, 0))
+        assert c.readout == RatMatrix.identity(dim)
+        assert c.machine_form.matrix == -form.matrix
+        assert c.blank == zero_vec(dim) and c.ready == zero_vec(dim)
+
+    @given(_FORMS)
+    @settings(max_examples=30, deadline=None)
+    def test_random_forms_clone_exactly(self, form):
+        c = mirror_cloner(form)
+        rep = verify_cloning(c)
+        assert rep.passed, rep.reason
+        assert c.readout.T @ c.machine_form.matrix @ c.readout == -form.matrix
+
+    def test_entries_and_bit_height_do_not_depend_on_the_form(self):
+        allowed = {Fraction(x) for x in ("0", "1/2", "-1/2", "1", "3/2")}
+        for dim in (4, 32):
+            phi = mirror_cloner(random_skew_form(dim, random.Random(dim))).phi
+            assert {x for row in phi.tolist() for x in row} == allowed
+            assert _bits(phi) == 2
+
+
 class TestGeneralCloner:
     def test_standard_two_dim_matches_basic(self):
         g = general_cloner(standard_form(1))
@@ -204,6 +267,41 @@ class TestGeneralCloner:
             g = general_cloner(form)
             pullback = g.readout.T @ g.machine_form.matrix @ g.readout
             assert pullback == -g.object_form.matrix
+
+    @given(_FORMS)
+    @settings(max_examples=30, deadline=None)
+    def test_random_forms_clone_exactly(self, form):
+        g = _machine_basis(form)
+        d = form.dim
+        assert g.T @ -form.matrix @ g == standard_form(d // 2).matrix
+        c = general_cloner(form)
+        assert verify_cloning(c).passed
+        assert c.machine_form == standard_form(d // 2)
+        assert c.readout.T @ c.machine_form.matrix @ c.readout == -form.matrix
+
+    def test_phi_blocks(self):
+        # [[I, I, G], [I, -I/2, G/2], [G^-1, G^-1/2, 3I/2]], readout G^-1
+        form = random_skew_form(6, random.Random(6))
+        g = _machine_basis(form)
+        g_inv = g.inverse()
+        eye = RatMatrix.identity(6)
+        blocks = [
+            [eye, eye, g],
+            [eye, RatMatrix([["-1/2" if i == j else 0 for j in range(6)] for i in range(6)]),
+             RatMatrix([[x / 2 for x in g.row(i)] for i in range(6)])],
+            [g_inv, RatMatrix([[x / 2 for x in g_inv.row(i)] for i in range(6)]),
+             RatMatrix([["3/2" if i == j else 0 for j in range(6)] for i in range(6)])],
+        ]
+        expected = RatMatrix(
+            [sum((b.row(i) for b in block_row), ()) for block_row in blocks for i in range(6)]
+        )
+        c = general_cloner(form)
+        assert c.phi == expected
+        assert c.readout == g_inv
+
+    def test_bit_height_at_dim_32(self):
+        c = general_cloner(random_skew_form(32, random.Random(32)))
+        assert _bits(c.phi) < 100
 
 
 class TestVerifyFailures:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symclone import RatMatrix, basic_cloner, standard_form, zero_vec
-from symclone.cli import run
+from symclone.cli import _MAX_CONSTRUCT_DIM, _MAX_PROBE_PAIRS, _MAX_READOUT_PAIRS, run
 from symclone.quantum import basis_cloner, complex_matrix_to_json
 
 
@@ -184,6 +184,32 @@ class TestProbe:
         assert code == 2
         assert out == ""
         assert err == "error: dimensions must be nonnegative\n"
+
+
+class TestInputCaps:
+    """Sizes above a cap exit 2 with one line; nothing is allocated, since
+    every check runs before the command builds anything."""
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["construct-general", "--dim", str(_MAX_CONSTRUCT_DIM + 2)], _MAX_CONSTRUCT_DIM),
+            (["construct-general", "--dim", str(10**12)], _MAX_CONSTRUCT_DIM),
+            (["readout-solve", "--m", str(_MAX_READOUT_PAIRS + 1), "--k", "0"], _MAX_READOUT_PAIRS),
+            (["readout-solve", "--m", "0", "--k", str(_MAX_READOUT_PAIRS + 1)], _MAX_READOUT_PAIRS),
+            (["readout-solve", "--m", str(10**12), "--k", str(10**12)], _MAX_READOUT_PAIRS),
+            (["probe", "--m", str(_MAX_PROBE_PAIRS + 1), "--k", "0"], _MAX_PROBE_PAIRS),
+            (["probe", "--m", "1", "--k", str(_MAX_PROBE_PAIRS + 1)], _MAX_PROBE_PAIRS),
+            (["probe", "--m", str(10**12), "--k", "1"], _MAX_PROBE_PAIRS),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_size_above_the_cap_is_a_usage_error(self, capsys, argv, cap):
+        code, out, err = run_capture(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at most {cap} " in err
 
 
 class TestDiagramCheck:

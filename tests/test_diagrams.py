@@ -70,6 +70,24 @@ class TestInstanceCoherence:
         assert inst.equal(inst.tensor(unit_arrow, m), m)
         assert inst.equal(inst.tensor(m, unit_arrow), m)
 
+    @pytest.mark.parametrize("dims", [(0, 0), (0, 2), (3, 0), (2, 4)])
+    def test_tensor_of_states_equals_the_block_diagonal_sum(self, dims):
+        # arrows from the unit have no columns; their tensor skips block_diag
+        inst = symplectic_instance()
+        g = AffineMap(RatMatrix.zeros(dims[0], 0), vec(range(1, dims[0] + 1)))
+        h = AffineMap(RatMatrix.zeros(dims[1], 0), vec(["1/2"] * dims[1]))
+        t = inst.tensor(g, h)
+        assert t.matrix.shape == (sum(dims), 0)
+        assert t.matrix == RatMatrix.block_diag(g.matrix, h.matrix)
+        assert t.offset == g.offset + h.offset
+
+    def test_sample_states_are_zero_and_the_basis(self):
+        inst = symplectic_instance()
+        assert inst.sample_states(standard_form(2)) == [vec(v) for v in (
+            [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]
+        )]
+        assert inst.sample_states(standard_form(0)) == [()]
+
     def test_hilbert_compose_and_tensor_cohere(self):
         inst = hilbert_instance()
         rng = np.random.default_rng(1)

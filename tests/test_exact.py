@@ -17,6 +17,7 @@ from symclone import (
     standard_form,
     symplectic_defect,
     vec,
+    verify_cloning,
 )
 from conftest import random_skew_form
 import oracles
@@ -206,6 +207,18 @@ class TestSerialization:
         with pytest.raises(TypeError):
             RatMatrix([row])
 
+    def test_apply_and_pair_coerce_their_vectors(self):
+        m = RatMatrix([[1, 2], [3, 4]])
+        assert m.apply([1, "1/2"]) == (Fraction(2), Fraction(5))
+        assert SkewForm(J2).pair(["1/2", 0], [0, "3"]) == Fraction(3, 2)
+        for bad in ([True, 0], [1.0, 0], [0, False]):
+            with pytest.raises(TypeError):
+                m.apply(bad)
+            with pytest.raises(TypeError):
+                SkewForm(J2).pair(bad, [1, 0])
+            with pytest.raises(TypeError):
+                SkewForm(J2).pair([1, 0], bad)
+
     def test_zero_denominator_after_repeated_valid_strings(self):
         with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
             RatMatrix([["1/2", "1/2", "0"], ["0", "1/2", "1/0"]])
@@ -334,3 +347,30 @@ class TestIntegerKernels:
             product = left @ right
             assert product.shape == (left.rows, right.cols)
             assert product == oracles.matmul(left, right)
+
+
+class TestHighBitKernels:
+    """The integer kernels against the reference on a dense phi whose entries
+    are hundreds of bits wide: the Darboux-conjugated standard process."""
+
+    @pytest.fixture(scope="class")
+    def process(self):
+        return oracles.conjugated_cloner(random_skew_form(20, random.Random(20)))
+
+    def test_fixture_is_a_high_bit_cloning_process(self, process):
+        entries = [x for row in process.phi.tolist() for x in row]
+        assert max(max(abs(x.numerator), x.denominator).bit_length() for x in entries) >= 200
+        assert verify_cloning(process).passed
+
+    def test_matmul_matches_the_reference(self, process):
+        phi = process.phi
+        assert phi @ phi == oracles.matmul(phi, phi)
+        assert phi.T @ process.total_form().matrix == oracles.matmul(phi.T, process.total_form().matrix)
+
+    def test_symplectic_defect_matches_the_reference(self, process):
+        xi = process.total_form()
+        rows = process.phi.tolist()
+        rows[3][5] += Fraction(1, 7)
+        for phi in (process.phi, RatMatrix(rows)):
+            pulled = oracles.matmul(oracles.matmul(phi.T, xi.matrix), phi)
+            assert symplectic_defect(phi, xi, xi) == pulled - xi.matrix
