@@ -4,7 +4,14 @@ Exact rational symplectic linear algebra, constructors and verifiers for
 classical cloning processes, the machine-size bound as a solver and witness,
 a finite-dimensional quantum no-cloning refuter, and a generic cloning-diagram
 checker for symmetric monoidal categories.
+
+The exact side imports nothing outside the standard library.  The float side
+(``symclone.quantum``: the refuter and the Hilbert diagram instance) needs
+numpy, so its names load on first access (PEP 562) and ``import symclone``
+alone does not load numpy.
 """
+
+import importlib as _importlib
 
 from .exact import (
     DegenerateFormError,
@@ -38,15 +45,6 @@ from .classical import (
     standard_cloner,
     verify_cloning,
 )
-from .quantum import (
-    HypothesisViolationError,
-    Refutation,
-    basis_cloner,
-    is_isometry,
-    kron,
-    refute_cloning,
-    standard_refutation,
-)
 from .diagrams import (
     AffineMap,
     CloningDiagram,
@@ -54,9 +52,36 @@ from .diagrams import (
     DiagramReport,
     check_cloning_diagram,
     diagram_from_process,
-    hilbert_cloning_diagram,
-    hilbert_instance,
     symplectic_instance,
 )
 
 __version__ = "0.1.0"
+
+# served from symclone.quantum on first access
+_QUANTUM = (
+    "HypothesisViolationError",
+    "Refutation",
+    "basis_cloner",
+    "hilbert_cloning_diagram",
+    "hilbert_instance",
+    "is_isometry",
+    "kron",
+    "refute_cloning",
+    "standard_refutation",
+)
+
+__all__ = sorted(
+    [name for name in globals() if not name.startswith("_")]
+    + ["quantum", *_QUANTUM]
+)
+
+
+def __getattr__(name: str):
+    if name == "quantum" or name in _QUANTUM:
+        quantum = _importlib.import_module(".quantum", __name__)
+        return quantum if name == "quantum" else getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,18 +9,18 @@ Darboux basis on the machine block only, so the machine carries the standard
 form.  The verifier checks candidates with zero tolerance.  The
 readout-equation solver and the kernel witness give the two sides of the
 machine-size bound, and a floating-point probe searches the infeasible
-regime numerically.
+regime numerically; the probe is the one part of this module that uses
+numpy, and it imports numpy only when called.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .exact import (
     _ONE,
@@ -53,6 +53,13 @@ class InfeasibleError(ValueError):
 
 class NotApplicableError(ValueError):
     """The requested diagnostic only makes sense in the other dimension regime."""
+
+
+def _vec_from_json(data: dict, key: str) -> RatVector:
+    # a JSON string or object is iterable too, and would parse as a vector
+    if not isinstance(data[key], list):
+        raise TypeError(f"{key} must be a JSON list")
+    return vec(data[key])
 
 
 @dataclass(frozen=True)
@@ -103,9 +110,9 @@ class CloningProcess:
     def from_json(cls, data: dict) -> "CloningProcess":
         return cls(
             object_form=SkewForm.from_json(data["object_form"]),
-            blank=vec(data["blank"]),
+            blank=_vec_from_json(data, "blank"),
             machine_form=SkewForm.from_json(data["machine_form"]),
-            ready=vec(data["ready"]),
+            ready=_vec_from_json(data, "ready"),
             phi=RatMatrix.from_json(data["phi"]),
             readout=RatMatrix.from_json(data["readout"]),
         )
@@ -484,6 +491,8 @@ def size_witness(candidate: CloningProcess) -> SizeWitness:
 
 
 def _numpy_standard_form(n: int) -> np.ndarray:
+    import numpy as np
+
     j = np.zeros((2 * n, 2 * n))
     for p in range(n):
         j[2 * p, 2 * p + 1] = 1.0
@@ -493,7 +502,7 @@ def _numpy_standard_form(n: int) -> np.ndarray:
 
 # L-BFGS-B's default stopping tolerances: factr (1e7) times machine epsilon
 # on the relative decrease, pgtol on the largest gradient entry
-_FTOL = 1e7 * np.finfo(float).eps
+_FTOL = 1e7 * sys.float_info.epsilon
 _GTOL = 1e-5
 
 
@@ -506,6 +515,8 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> float:
     condition.  Stops like L-BFGS-B's defaults: after maxiter iterations, a
     relative decrease <= _FTOL or max |grad| <= _GTOL.
     """
+    import numpy as np
+
     f, g = objective(x)
     pairs: deque = deque(maxlen=5)  # (s, y, 1 / y.s)
     for _ in range(maxiter):
@@ -567,6 +578,7 @@ def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
         )
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    import numpy as np
 
     dm, dn = 2 * m, 2 * k
     d = 2 * dm + dn

@@ -2,8 +2,12 @@
 
 Exit codes: 0 on success/pass, 1 on a verified negative result (a candidate
 fails verification, the readout equation is infeasible, a refutation or size
-witness is produced), 2 on usage, parse, or shape errors.  Reports are
-deterministic for fixed arguments and seed.
+witness is produced), 2 on usage, parse, or shape errors, and when standard
+output is closed before the report is written.  Reports are deterministic
+for fixed arguments and seed.
+
+Only ``quantum-refute``, ``probe`` and ``diagram-check --instance hilb``
+load numpy; the exact commands start without it.
 """
 
 from __future__ import annotations
@@ -11,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-
-import numpy as np
 
 from .classical import (
     CloningProcess,
@@ -26,11 +29,7 @@ from .classical import (
     size_witness,
     verify_cloning,
 )
-from .diagrams import (
-    check_cloning_diagram,
-    diagram_from_process,
-    hilbert_cloning_diagram,
-)
+from .diagrams import check_cloning_diagram, diagram_from_process
 from .exact import (
     DegenerateFormError,
     ShapeError,
@@ -38,12 +37,6 @@ from .exact import (
     darboux_basis,
     is_symplectic_map,
     standard_form,
-)
-from .quantum import (
-    HypothesisViolationError,
-    complex_matrix_from_json,
-    complex_vector_from_json,
-    standard_refutation,
 )
 
 EXIT_OK = 0
@@ -183,6 +176,8 @@ def _cmd_size_witness(args) -> int:
 
 
 def _cmd_quantum_refute(args) -> int:
+    from .quantum import HypothesisViolationError, standard_refutation
+
     if args.dim < 1:
         raise CliError("d must be >= 1")
     if args.dim > _MAX_REFUTE_DIM:
@@ -223,6 +218,8 @@ def _cmd_probe(args) -> int:
 
 
 def _hilbert_diagram(data: dict):
+    from .quantum import complex_matrix_from_json, complex_vector_from_json, hilbert_cloning_diagram
+
     return hilbert_cloning_diagram(
         complex_matrix_from_json(data["unitary"]),
         complex_vector_from_json(data["beta"]),
@@ -236,6 +233,8 @@ def _cmd_diagram_check(args) -> int:
         inst, diagram = diagram_from_process(process)
         report = check_cloning_diagram(inst, diagram)
     else:
+        import numpy as np
+
         inst, diagram = _load(args.input, _hilbert_diagram)
         states = inst.sample_states(diagram.object_a, count=args.samples,
                                     rng=np.random.default_rng(args.seed))
@@ -322,7 +321,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``symclone ... | head``); point stdout at
+        # devnull so the flush at shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the report was written", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Cloning diagrams in symmetric monoidal categories, checked on states.
 
-Two concrete instances are provided: finite-dimensional Hilbert spaces with
-linear maps as arrows (tensor = Kronecker product, unit = C), and symplectic
-vector spaces with affine symplectic maps as arrows (tensor = direct sum,
-unit = the zero-dimensional space, whose arrows into M are exactly the points
-of M).  Both are treated strictly: associators and unitors are identities
-after fixing the index order.
+The checker is generic over a ``DiagramInstance``.  This module provides the
+symplectic instance: symplectic vector spaces with affine symplectic maps as
+arrows (tensor = direct sum, unit = the zero-dimensional space, whose arrows
+into M are exactly the points of M).  The Hilbert-space instance
+(``hilbert_instance``, tensor = Kronecker product, unit = C) lives in
+``symclone.quantum`` with the rest of the float side, so this module never
+loads numpy.  Both are treated strictly: associators and unitors are
+identities after fixing the index order.
 
 A cloning diagram asserts that the candidate arrow c sends psi x beta x rho
 to psi x psi x f(psi) for every state psi; the checker tests this equation on
@@ -15,12 +17,19 @@ a supplied sample of states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .exact import _ONE, RatMatrix, RatVector, ShapeError, SkewForm, vec, zero_vec
-from .quantum import FLOAT_TOL, kron, slice_amplitudes
+
+
+def _exact_state(x) -> RatVector:
+    """x as an exact vector.  A tuple of Fractions (a sampled state, a readout
+    image, a state already coerced) is returned as it is; anything else goes
+    through ``vec``, which rejects booleans and floats."""
+    if type(x) is tuple and all(type(e) is Fraction for e in x):
+        return x
+    return vec(x)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +74,10 @@ class DiagramInstance:
     produces the vectors the checker will quantify over.  ``exhaustive``
     records whether that sample decides the universally quantified diagram
     condition (true for the symplectic instance, where linearity reduces the
-    condition to basis states plus zero).
+    condition to basis states plus zero).  ``as_state`` coerces a
+    caller-supplied state to the type ``sample_states`` returns and passes
+    such a state through, so ``state_arrow`` and the readout need not
+    coerce it again.
     """
 
     name: str
@@ -76,6 +88,7 @@ class DiagramInstance:
     state_arrow: Callable[[Any, Any], Any]
     sample_states: Callable[..., list]
     exhaustive: bool
+    as_state: Callable[[Any], Any] = lambda x: x
 
 
 def symplectic_instance() -> DiagramInstance:
@@ -101,7 +114,7 @@ def symplectic_instance() -> DiagramInstance:
         return g.matrix == h.matrix and g.offset == h.offset
 
     def state_arrow(obj: SkewForm, x) -> AffineMap:
-        x = vec(x)
+        x = _exact_state(x)
         if len(x) != obj.dim:
             raise ShapeError("state length does not match the object dimension")
         return AffineMap(RatMatrix.zeros(obj.dim, 0), x)
@@ -120,48 +133,7 @@ def symplectic_instance() -> DiagramInstance:
         state_arrow=state_arrow,
         sample_states=sample_states,
         exhaustive=True,
-    )
-
-
-def hilbert_instance() -> DiagramInstance:
-    """Finite-dimensional Hilbert spaces; arrows are complex matrices,
-    equality is entrywise within FLOAT_TOL.  Objects are dimensions."""
-
-    def compose(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return np.asarray(g, dtype=complex) @ np.asarray(h, dtype=complex)
-
-    def tensor(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return kron(np.atleast_2d(g), np.atleast_2d(h))
-
-    def equal(g: np.ndarray, h: np.ndarray) -> bool:
-        g, h = np.atleast_2d(g), np.atleast_2d(h)
-        if g.shape != h.shape:
-            return False
-        return g.size == 0 or float(np.max(np.abs(g - h))) <= FLOAT_TOL
-
-    def state_arrow(obj: int, psi) -> np.ndarray:
-        psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
-        if psi.shape[0] != obj:
-            raise ShapeError("state length does not match the object dimension")
-        return psi
-
-    def sample_states(obj: int, count: int = 8, rng=None) -> list[np.ndarray]:
-        rng = rng or np.random.default_rng(0)
-        states = [np.eye(obj)[:, j] for j in range(obj)]
-        for _ in range(count):
-            v = rng.standard_normal(obj) + 1j * rng.standard_normal(obj)
-            states.append(v / np.linalg.norm(v))
-        return states
-
-    return DiagramInstance(
-        name="hilbert",
-        unit=1,
-        compose=compose,
-        tensor=tensor,
-        equal=equal,
-        state_arrow=state_arrow,
-        sample_states=sample_states,
-        exhaustive=False,
+        as_state=_exact_state,
     )
 
 
@@ -212,6 +184,8 @@ def check_cloning_diagram(
     For each psi, compares c o (psi x beta x rho) with psi x psi x f(psi)
     using the instance's arrow equality.  The report says whether the sample
     decides the universally quantified condition or is merely evidence.
+    Each state goes through ``instance.as_state`` once (a no-op on sampled
+    states); the report lists states as supplied.
     """
     if states is None:
         states = instance.sample_states(diagram.object_a)
@@ -221,10 +195,11 @@ def check_cloning_diagram(
     results = []
     first_failure = None
     for psi in states:
-        psi_arrow = instance.state_arrow(diagram.object_a, psi)
+        x = instance.as_state(psi)
+        psi_arrow = instance.state_arrow(diagram.object_a, x)
         prepared = instance.tensor(instance.tensor(psi_arrow, beta_arrow), rho_arrow)
         lhs = instance.compose(diagram.arrow_c, prepared)
-        f_arrow = instance.state_arrow(diagram.machine_b, diagram.readout(psi))
+        f_arrow = instance.state_arrow(diagram.machine_b, diagram.readout(x))
         rhs = instance.tensor(instance.tensor(psi_arrow, psi_arrow), f_arrow)
         ok = instance.equal(lhs, rhs)
         results.append((psi, ok))
@@ -257,7 +232,7 @@ def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
     machine_offset = base[2 * dm :]
 
     def readout(x) -> RatVector:
-        fx = process.readout._apply(vec(x))
+        fx = process.readout._apply(_exact_state(x))
         return tuple((a + b) if b else a for a, b in zip(fx, machine_offset))
 
     diagram = CloningDiagram(
@@ -266,44 +241,6 @@ def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
         machine_b=process.machine_form,
         rho=process.ready,
         arrow_c=AffineMap(process.phi, zero_vec(process.phi.rows)),
-        readout=readout,
-    )
-    return inst, diagram
-
-
-def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInstance, CloningDiagram]:
-    """Wrap a candidate copying isometry as a Hilbert cloning diagram.
-
-    The readout f is induced: f(psi) is the normalized projection of
-    U(psi x beta x rho) onto the psi x psi x K slice, so the diagram commutes
-    at psi exactly when U clones psi.  If the projection vanishes, f falls
-    back to the first machine basis state.
-    """
-    U = np.asarray(U, dtype=complex)
-    beta = np.asarray(beta, dtype=complex).reshape(-1)
-    d = len(beta)
-    if rho is None:
-        rho = np.array([1.0 + 0.0j])
-    rho = np.asarray(rho, dtype=complex).reshape(-1)
-    dk = len(rho)
-    if U.shape != (d * d * dk, d * d * dk):
-        raise ShapeError("candidate arrow does not act on object x copy x machine")
-    inst = hilbert_instance()
-
-    def readout(psi) -> np.ndarray:
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        amps = slice_amplitudes(U, psi, beta, rho)
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
-            return np.eye(dk)[:, 0].astype(complex)
-        return amps / norm
-
-    diagram = CloningDiagram(
-        object_a=d,
-        beta=beta,
-        machine_b=dk,
-        rho=rho,
-        arrow_c=U,
         readout=readout,
     )
     return inst, diagram

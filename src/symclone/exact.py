@@ -364,10 +364,14 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "RatMatrix":
-        if not data["entries"]:  # cols are only recoverable from the header
+        entries = data["entries"]
+        # a JSON string or object is iterable too, and would parse as a row
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise TypeError("matrix entries must be a JSON list of lists")
+        if not entries:  # cols are only recoverable from the header
             m = cls._raw((), int(data["cols"]))
         else:
-            m = cls(data["entries"])
+            m = cls(entries)
         if (m.rows, m.cols) != (data["rows"], data["cols"]):
             raise ShapeError("entry grid does not match declared rows/cols")
         return m

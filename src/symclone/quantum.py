@@ -3,7 +3,11 @@
 Complex double-precision throughout.  The refuter never constructs the
 would-be machine readout; it exhibits the overlap contradiction that the
 existence of a copying isometry would force, plus a concrete distance from
-the machine's actual output to the nearest legal clone.
+the machine's actual output to the nearest legal clone.  The Hilbert-space
+instance of the generic diagram checker (``hilbert_instance``,
+``hilbert_cloning_diagram``) is here too: this module and
+``classical.clone_residual_probe`` are the only parts of symclone that load
+numpy.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .diagrams import CloningDiagram, DiagramInstance
+from .exact import ShapeError
 
 # Absolute tolerance of every float check on the Hilbert-space side: isometry
 # defect, unit norms, the overlap range and arrow equality in the Hilbert
@@ -196,3 +203,87 @@ def complex_matrix_from_json(data: dict) -> np.ndarray:
 
 def complex_vector_from_json(entries) -> np.ndarray:
     return np.array([complex(re, im) for re, im in entries], dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# the Hilbert-space diagram instance
+
+
+def hilbert_instance() -> DiagramInstance:
+    """Finite-dimensional Hilbert spaces; arrows are complex matrices,
+    equality is entrywise within FLOAT_TOL.  Objects are dimensions."""
+
+    def compose(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return np.asarray(g, dtype=complex) @ np.asarray(h, dtype=complex)
+
+    def tensor(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return kron(np.atleast_2d(g), np.atleast_2d(h))
+
+    def equal(g: np.ndarray, h: np.ndarray) -> bool:
+        g, h = np.atleast_2d(g), np.atleast_2d(h)
+        if g.shape != h.shape:
+            return False
+        return g.size == 0 or float(np.max(np.abs(g - h))) <= FLOAT_TOL
+
+    def state_arrow(obj: int, psi) -> np.ndarray:
+        psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
+        if psi.shape[0] != obj:
+            raise ShapeError("state length does not match the object dimension")
+        return psi
+
+    def sample_states(obj: int, count: int = 8, rng=None) -> list[np.ndarray]:
+        rng = rng or np.random.default_rng(0)
+        states = [np.eye(obj)[:, j] for j in range(obj)]
+        for _ in range(count):
+            v = rng.standard_normal(obj) + 1j * rng.standard_normal(obj)
+            states.append(v / np.linalg.norm(v))
+        return states
+
+    return DiagramInstance(
+        name="hilbert",
+        unit=1,
+        compose=compose,
+        tensor=tensor,
+        equal=equal,
+        state_arrow=state_arrow,
+        sample_states=sample_states,
+        exhaustive=False,
+    )
+
+
+def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInstance, CloningDiagram]:
+    """Wrap a candidate copying isometry as a Hilbert cloning diagram.
+
+    The readout f is induced: f(psi) is the normalized projection of
+    U(psi x beta x rho) onto the psi x psi x K slice, so the diagram commutes
+    at psi exactly when U clones psi.  If the projection vanishes, f falls
+    back to the first machine basis state.
+    """
+    U = np.asarray(U, dtype=complex)
+    beta = np.asarray(beta, dtype=complex).reshape(-1)
+    d = len(beta)
+    if rho is None:
+        rho = np.array([1.0 + 0.0j])
+    rho = np.asarray(rho, dtype=complex).reshape(-1)
+    dk = len(rho)
+    if U.shape != (d * d * dk, d * d * dk):
+        raise ShapeError("candidate arrow does not act on object x copy x machine")
+    inst = hilbert_instance()
+
+    def readout(psi) -> np.ndarray:
+        psi = np.asarray(psi, dtype=complex).reshape(-1)
+        amps = slice_amplitudes(U, psi, beta, rho)
+        norm = float(np.linalg.norm(amps))
+        if norm < 1e-12:
+            return np.eye(dk)[:, 0].astype(complex)
+        return amps / norm
+
+    diagram = CloningDiagram(
+        object_a=d,
+        beta=beta,
+        machine_b=dk,
+        rho=rho,
+        arrow_c=U,
+        readout=readout,
+    )
+    return inst, diagram

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symclone
 from symclone import RatMatrix, basic_cloner, standard_form, zero_vec
 from symclone.cli import _MAX_CONSTRUCT_DIM, _MAX_PROBE_PAIRS, _MAX_READOUT_PAIRS, run
 from symclone.quantum import basis_cloner, complex_matrix_to_json
@@ -12,6 +17,9 @@ def run_capture(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(symclone.__file__).resolve().parents[1])}
 
 
 class TestConstructAndVerify:
@@ -295,6 +303,40 @@ class TestContract:
         assert out == ""
         assert err.startswith("error: ") and "bool" in err
 
+    @pytest.mark.parametrize("fault", ["string row", "object row", "string vector"])
+    def test_non_list_json_is_a_parse_error(self, tmp_path, capsys, fault):
+        # a JSON string or object iterates like a row; each of these used to
+        # verify as a pass
+        data = basic_cloner().to_json()
+        if fault == "string row":
+            assert "".join(data["phi"]["entries"][0]) == "101000"
+            data["phi"]["entries"][0] = "101000"
+        elif fault == "object row":
+            assert data["readout"]["entries"][0] == ["1", "0"]
+            data["readout"]["entries"][0] = {"1": 0, "0": 1}
+        else:
+            data["blank"] = "00"
+        path = tmp_path / "nonlist.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_capture(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_closed_stdout_exits_two_without_traceback(self):
+        # the dim-100 report is 1.5 MB, far more than a pipe buffers, so the
+        # write fails whether or not the child started writing before the close
+        p = subprocess.Popen(
+            [sys.executable, "-m", "symclone.cli", "construct-general", "--dim", "100"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV,
+        )
+        p.stdout.close()
+        err = p.stderr.read().decode()
+        p.stderr.close()
+        assert p.wait(timeout=120) == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_capture(capsys, "frobnicate")
         assert code == 2
@@ -312,3 +354,59 @@ class TestContract:
         code, out, _ = run_capture(capsys, "--format", "human", "readout-solve", "--m", "1", "--k", "2")
         assert code == 0
         assert "readout map found" in out
+
+
+# Runs exact commands through cli.run in an interpreter where importing numpy
+# fails, and prints their exit codes; the commands' own output is discarded.
+_NUMPY_FREE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from symclone.cli import run
+codes = {}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = run(argv)
+print(json.dumps(codes))
+"""
+
+
+class TestNumpyFree:
+    def test_exact_commands_run_without_numpy(self, tmp_path):
+        basic = basic_cloner().to_json()
+        perturbed = basic_cloner().to_json()
+        perturbed["phi"]["entries"][4][4] = "2"
+        undersized = {
+            **basic,
+            "machine_form": standard_form(0).to_json(),
+            "ready": [],
+            "phi": RatMatrix.identity(4).to_json(),
+            "readout": RatMatrix.zeros(0, 2).to_json(),
+        }
+        files = {}
+        for name, data in [("basic", basic), ("perturbed", perturbed),
+                           ("undersized", undersized), ("form", standard_form(2).to_json())]:
+            files[name] = str(tmp_path / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(data))
+        commands = {
+            "construct-basic": (["construct-basic"], 0),
+            "construct-general": (["construct-general", "--dim", "6"], 0),
+            "verify pass": (["verify", "--input", files["basic"]], 0),
+            "verify fail": (["verify", "--input", files["perturbed"]], 1),
+            "darboux": (["darboux", "--input", files["form"]], 0),
+            "readout-solve feasible": (["readout-solve", "--m", "1", "--k", "1"], 0),
+            "readout-solve infeasible": (["readout-solve", "--m", "2", "--k", "1"], 1),
+            "size-witness": (["size-witness", "--input", files["undersized"]], 1),
+            "diagram-check symp": (["diagram-check", "--instance", "symp", "--input", files["basic"]], 0),
+        }
+        argv = json.dumps([[name, args] for name, (args, _) in commands.items()])
+        out = subprocess.run([sys.executable, "-c", _NUMPY_FREE, argv], env=SRC_ENV,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {name: code for name, (_, code) in commands.items()}
+
+    def test_import_loads_no_numpy(self):
+        out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import symclone.cli"],
+                             env=SRC_ENV, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "symclone.cli" in out.stderr
+        assert [line for line in out.stderr.splitlines() if "numpy" in line] == []

@@ -24,6 +24,7 @@ from symclone import (
     vec,
     zero_vec,
 )
+from symclone import diagrams
 from conftest import random_skew_form
 from oracles import check_traditional_diagram
 
@@ -111,6 +112,43 @@ class TestInstanceCoherence:
         hinst = hilbert_instance()
         psi = hinst.state_arrow(2, [1.0, 0.0])
         assert psi.shape == (2, 1)
+
+
+class TestStateCoercion:
+    @pytest.fixture
+    def vec_calls(self, monkeypatch):
+        calls = []
+
+        def counting_vec(entries):
+            calls.append(entries)
+            return vec(entries)
+
+        monkeypatch.setattr(diagrams, "vec", counting_vec)
+        return calls
+
+    def test_sampled_states_and_readout_images_are_not_coerced(self, vec_calls):
+        inst, diagram = diagram_from_process(general_cloner(standard_form(3)))
+        report = check_cloning_diagram(inst, diagram)
+        assert report.passed and len(report.results) == 7
+        assert vec_calls == []
+
+    def test_caller_states_are_coerced_once(self, vec_calls):
+        inst, diagram = diagram_from_process(general_cloner(standard_form(1)))
+        states = [[1, 0], ["0", "1/2"], [Fraction(2), -3]]
+        report = check_cloning_diagram(inst, diagram, states)
+        assert report.passed
+        assert [psi for psi, _ in report.results] == states  # reported as supplied
+        assert vec_calls == states
+
+    @pytest.mark.parametrize("bad", [[True, 0], [0.5, 0], (Fraction(1), False)])
+    def test_booleans_and_floats_are_rejected(self, bad):
+        inst, diagram = diagram_from_process(basic_cloner())
+        with pytest.raises(TypeError):
+            inst.state_arrow(standard_form(1), bad)
+        with pytest.raises(TypeError):
+            diagram.readout(bad)
+        with pytest.raises(TypeError):
+            check_cloning_diagram(inst, diagram, [bad])
 
 
 class TestSymplecticDiagram:
