@@ -29,6 +29,7 @@ from .exact import (
     RatVector,
     ShapeError,
     SkewForm,
+    _vec_add,
     direct_sum,
     form_kernel,
     darboux_basis,
@@ -209,20 +210,18 @@ def _assemble(factors: Sequence[CloningProcess]) -> CloningProcess:
     """
     dm = sum(c.object_dim for c in factors)
     total = 2 * dm + sum(c.machine_dim for c in factors)
-    phi = [[_ZERO] * total for _ in range(total)]
+    phi: list = [()] * total
     om = ok = 0
     for c in factors:
         m, k = c.object_dim, c.machine_dim
+        # ascending, so reindexed rows keep their columns in order
         glob = [
             *range(om, om + m),
             *range(dm + om, dm + om + m),
             *range(2 * dm + ok, 2 * dm + ok + k),
         ]
-        for i, gi in enumerate(glob):
-            target = phi[gi]
-            for j, x in enumerate(c.phi.row(i)):
-                if x:
-                    target[glob[j]] = x
+        for gi, row in zip(glob, c.phi._nz):
+            phi[gi] = tuple((glob[j], x) for j, x in row)
         om += m
         ok += k
     objects = RatMatrix.block_diag(*(c.object_form.matrix for c in factors))
@@ -232,7 +231,7 @@ def _assemble(factors: Sequence[CloningProcess]) -> CloningProcess:
         blank=tuple(x for c in factors for x in c.blank),
         machine_form=SkewForm._trusted(machines),
         ready=tuple(x for c in factors for x in c.ready),
-        phi=RatMatrix._raw(tuple(map(tuple, phi)), total),
+        phi=RatMatrix._raw(tuple(phi), total),
         readout=RatMatrix.block_diag(*(c.readout for c in factors)),
     )
 
@@ -282,17 +281,14 @@ def _mirror_assembly(
     ready states and readout G^-1.
     """
     d = form.dim
-    zeros = (_ZERO,) * d
 
-    def unit(i: int, x: Fraction) -> RatVector:
-        return zeros[:i] + (x,) + zeros[i + 1 :]
+    def block(row, offset: int, scale: Fraction = _ONE):
+        # a stored row of G or G^-1, moved to a column block and scaled
+        return tuple((j + offset, x if scale is _ONE else x * scale) for j, x in row)
 
-    def halve(row: RatVector) -> RatVector:
-        return tuple(x * _HALF if x else x for x in row)
-
-    rows = [unit(i, _ONE) + unit(i, _ONE) + g.row(i) for i in range(d)]
-    rows += [unit(i, _ONE) + unit(i, _MINUS_HALF) + halve(g.row(i)) for i in range(d)]
-    rows += [g_inv.row(i) + halve(g_inv.row(i)) + unit(i, _THREE_HALVES) for i in range(d)]
+    rows = [((i, _ONE), (d + i, _ONE)) + block(r, 2 * d) for i, r in enumerate(g._nz)]
+    rows += [((i, _ONE), (d + i, _MINUS_HALF)) + block(r, 2 * d, _HALF) for i, r in enumerate(g._nz)]
+    rows += [r + block(r, d, _HALF) + ((2 * d + i, _THREE_HALVES),) for i, r in enumerate(g_inv._nz)]
     return CloningProcess(
         object_form=form,
         blank=zero_vec(d),
@@ -336,8 +332,7 @@ def general_cloner(form: SkewForm) -> CloningProcess:
     # swapping each pair turns P^T omega P = J into G^T (-omega) G = J, which
     # also gives the inverse without elimination: G^-1 = J^-1 G^T (-omega)
     # = J G^T omega
-    d = form.dim
-    g = RatMatrix._raw(tuple(tuple(p.row(i)[j ^ 1] for j in range(d)) for i in range(d)))
+    g = RatMatrix._raw(tuple(tuple(sorted((j ^ 1, x) for j, x in row)) for row in p._nz), form.dim)
     return _mirror_assembly(form, machine, g, machine.matrix @ (g.T @ form.matrix))
 
 
@@ -350,15 +345,11 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
     output.  Both reported residuals are exact rationals; verdict is pass iff
     both are zero.  A nonzero symplectic defect is located by its first entry.
     """
-    dm, dn = c.object_dim, c.machine_dim
+    dm = c.object_dim
     total = c.total_form()
     defect = symplectic_defect(c.phi, total, total)
     defect_norm = defect.max_abs()
-    first_defect = (
-        next((i, j, x) for i in range(defect.rows) for j, x in enumerate(defect.row(i)) if x)
-        if defect_norm
-        else None
-    )
+    first_defect = next(((i, *row[0]) for i, row in enumerate(defect._nz) if row), None)
 
     residual = Fraction(0)
     reason = ""
@@ -381,24 +372,29 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
     phi_cols = c.phi.T
     stored_cols = c.readout.T
     for i in range(dm):
+        nz = phi_cols._nz[i]
+        # a clean column is e_i in both copies, then the stored readout
+        # column shifted into the machine block
+        if (
+            base_zero
+            and nz[:2] == ((i, _ONE), (dm + i, _ONE))
+            and nz[2:] == tuple((2 * dm + j, x) for j, x in stored_cols._nz[i])
+        ):
+            continue
         e = tuple(_ONE if j == i else _ZERO for j in range(dm))
         col = phi_cols.row(i)
-        out = (
-            col
-            if base_zero
-            else tuple((a + b) if b else a for a, b in zip(col, base))
-        )
+        out = _vec_add(col, base)
         inferred = col[2 * dm :]
-        stored = stored_cols.row(i) if dn else ()
-        if out[:dm] == e and out[dm : 2 * dm] == e and inferred == stored:
-            continue
+        stored = stored_cols.row(i)
         for idx in range(dm):
             track(abs(out[idx] - e[idx]), f"first copy wrong on basis state {i}")
         for idx in range(dm):
             track(abs(out[dm + idx] - e[idx]), f"second copy wrong on basis state {i}")
         for a, b in zip(inferred, stored):
             track(abs(a - b), f"stored readout disagrees with the machine output on basis state {i}")
-    inferred = RatMatrix._raw(tuple(c.phi.row(i)[:dm] for i in range(2 * dm, c.phi.rows)), dm)
+    inferred = RatMatrix._raw(
+        tuple(tuple((j, x) for j, x in row if j < dm) for row in c.phi._nz[2 * dm :]), dm
+    )
 
     # -omega = F^T sigma F; implied by the two checks above when they are
     # exactly zero, but reported independently for imported candidates
@@ -436,11 +432,8 @@ def readout_solver(m: int, k: int) -> RatMatrix:
             f"F maps a 2m={2 * m} dimensional space into 2k={2 * k} dimensions; "
             "a nondegenerate pullback needs an injective F",
         )
-    entries = [[Fraction(0)] * (2 * m) for _ in range(2 * k)]
-    for p in range(m):
-        entries[2 * p][2 * p] = Fraction(1)
-        entries[2 * p + 1][2 * p + 1] = Fraction(-1)
-    return RatMatrix(entries)
+    flip = [((i, _ONE if i % 2 == 0 else -_ONE),) for i in range(2 * m)]
+    return RatMatrix._raw(tuple(flip) + ((),) * (2 * (k - m)), 2 * m)
 
 
 @dataclass(frozen=True)

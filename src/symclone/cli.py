@@ -7,7 +7,8 @@ output is closed before the report is written.  Reports are deterministic
 for fixed arguments and seed.
 
 Only ``quantum-refute``, ``probe`` and ``diagram-check --instance hilb``
-load numpy; the exact commands start without it.
+load numpy; the exact commands start without it, and without numpy
+installed the three float commands exit 2 with one line.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ EXIT_USAGE = 2
 
 # quantum-refute builds a dense d^2 x d^2 complex unitary: 268 MB at d = 64
 _MAX_REFUTE_DIM = 64
-# construct-general emits a dense 3N x 3N phi: 25 MB of JSON and about 330 MB
-# resident at N = 400
+# construct-general emits phi as a dense 3N x 3N JSON grid: 25 MB of JSON and
+# about 190 MB resident at N = 400
 _MAX_CONSTRUCT_DIM = 400
 # readout-solve emits a dense 2k x 2m readout: 160,000 entries at 200
 _MAX_READOUT_PAIRS = 200
@@ -317,6 +318,14 @@ def run(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except (CliError, ShapeError, DegenerateFormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ModuleNotFoundError as exc:
+        # the float commands import numpy when they run; without it they
+        # cannot run at all, which is not a verified negative
+        if exc.name != "numpy":
+            raise
+        what = "diagram-check --instance hilb" if args.command == "diagram-check" else args.command
+        print(f"error: {what} needs numpy, which is not installed", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .exact import _ONE, RatMatrix, RatVector, ShapeError, SkewForm, vec, zero_vec
+from .exact import _ONE, RatMatrix, RatVector, ShapeError, SkewForm, _vec_add, vec, zero_vec
 
 
 def _exact_state(x) -> RatVector:
@@ -99,9 +99,7 @@ def symplectic_instance() -> DiagramInstance:
     def compose(g: AffineMap, h: AffineMap) -> AffineMap:
         if h.target_dim != g.source_dim:
             raise ShapeError("arrows do not compose")
-        return AffineMap(g.matrix @ h.matrix, tuple(
-            (a + b) if b else a for a, b in zip(g.matrix._apply(h.offset), g.offset)
-        ))
+        return AffineMap(g.matrix @ h.matrix, _vec_add(g.matrix._apply(h.offset), g.offset))
 
     def tensor(g: AffineMap, h: AffineMap) -> AffineMap:
         offset = g.offset + h.offset
@@ -232,8 +230,7 @@ def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
     machine_offset = base[2 * dm :]
 
     def readout(x) -> RatVector:
-        fx = process.readout._apply(_exact_state(x))
-        return tuple((a + b) if b else a for a, b in zip(fx, machine_offset))
+        return _vec_add(process.readout._apply(_exact_state(x)), machine_offset)
 
     diagram = CloningDiagram(
         object_a=process.object_form,

@@ -1,20 +1,25 @@
 """Exact rational linear algebra for skew-symmetric bilinear forms.
 
-Entries are stored as ``fractions.Fraction``, and every verdict is an exact
-identity: skew forms are checked exactly, symplectic-map identities hold with
-zero tolerance, and the Darboux normalization is a rational symplectic
-Gram-Schmidt.  The kernels (products, elimination and the Darboux basis) run
-on integers instead: each call reads its operands as integer rows, a common
-denominator per row with the integer numerators of the row's nonzero entries,
-and a result entry becomes a ``Fraction`` only once, at the end.  Floating
-point only appears in the numerical probe and the quantum module, never here.
+Entries are ``fractions.Fraction``, and a matrix stores each row as its
+nonzeros only: a tuple of ``(col, value)`` pairs with ascending columns and
+no zero values, so parsing, transposing, comparing, applying and
+serializing a matrix cost one step per nonzero entry, not one per entry.
+Every verdict is an exact identity: skew forms are checked exactly,
+symplectic-map identities hold with zero tolerance, and the Darboux
+normalization is a rational symplectic Gram-Schmidt.  The kernels (products,
+elimination and the Darboux basis) run on integers instead: each call reads
+the stored nonzeros of its operands as integer rows, a common denominator
+per row with the integer numerators of the row's entries, and a result entry
+becomes a ``Fraction`` only once, at the end.  Floating point only appears
+in the numerical probe and the quantum module, never here.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -33,8 +38,8 @@ def _frac(x) -> Fraction:
         f = Fraction(x)
     else:
         raise TypeError(f"expected an exact rational entry, got {type(x).__name__}")
-    # intern the two most common values so tuple comparisons hit the
-    # identity fast path
+    # intern the two most common values: the constructor drops zeros by
+    # identity, and tuple comparisons hit the identity fast path
     if not f:
         return _ZERO
     if f == 1:
@@ -43,6 +48,8 @@ def _frac(x) -> Fraction:
 
 
 RatVector = tuple[Fraction, ...]
+# a stored row: (col, value) pairs, columns ascending, no zero values
+SparseRow = tuple[tuple[int, Fraction], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,47 +64,117 @@ def zero_vec(n: int) -> RatVector:
     return (_ZERO,) * n
 
 
+def _vec_add(u: RatVector, v: RatVector) -> RatVector:
+    """u + v, which is u itself when v is zero.  ``count`` compares by identity
+    first, so a vector of interned zeros is recognized without a Fraction call."""
+    if v.count(_ZERO) == len(v):
+        return u
+    return tuple((a + b) if b else a for a, b in zip(u, v))
+
+
+def _json_int(data: dict, key: str) -> int:
+    """``data[key]``, which must be a JSON integer.  A size compared with an
+    int accepts 6.0 and True as well, since 6 == 6.0 and 1 == True."""
+    x = data[key]
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{key} must be a JSON integer, got {type(x).__name__}")
+    return x
+
+
+class _Parsed(dict):
+    """Memo of parsed string entries, for one constructor call.
+
+    Parsed JSON grids repeat a few strings ("0" above all) thousands of
+    times, and a hit is one C-level lookup.  Only strings are stored: True ==
+    1 == 1.0 share a hash, and a memo keyed on raw values would let booleans
+    and floats through on the strength of an equal entry seen earlier.
+    """
+
+    def __missing__(self, x) -> Fraction:
+        f = _frac(x)
+        if type(x) is str:
+            self[x] = f
+        return f
+
+
+def _densify(row: SparseRow, cols: int) -> list[Fraction]:
+    out = [_ZERO] * cols
+    for j, x in row:
+        out[j] = x
+    return out
+
+
+def _transpose(rows: Sequence[SparseRow], cols: int) -> tuple[SparseRow, ...]:
+    """Stored rows of the transpose: each entry scattered to its column's
+    row, which comes out in ascending row order (Gustavson, ACM TOMS 4, 1978)."""
+    out: list[list] = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[j].append((i, x))
+    return tuple(map(tuple, out))
+
+
+def _combine(a: SparseRow, b: SparseRow) -> SparseRow:
+    """The stored row of a + b."""
+    if not b:
+        return a
+    if not a:
+        return b
+    acc = dict(a)
+    for j, x in b:
+        acc[j] = acc[j] + x if j in acc else x
+    return tuple(sorted((j, x) for j, x in acc.items() if x))
+
+
 # -- integer kernels ---------------------------------------------------------
 #
 # An integer row is (den, ((col, num), ...)): the row's entries are num / den
-# at the listed columns and zero elsewhere, with den the lcm of the entries'
-# denominators.  Dense integer rows (plain lists) carry no denominator: the
-# elimination kernels only need each row up to a nonzero factor.
+# at the listed columns (ascending, nonzero nums) and zero elsewhere, with den
+# the lcm of the entries' denominators.  Dense integer rows (plain lists)
+# carry no denominator: the elimination kernels only need each row up to a
+# nonzero factor.
 
 
-def _int_row(row: Sequence[Fraction]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    nz = [(j, x) for j, x in enumerate(row) if x]
-    den = math.lcm(*[x.denominator for _, x in nz])
-    return den, tuple((j, x.numerator * (den // x.denominator)) for j, x in nz)
+def _int_row(row: SparseRow) -> tuple[int, tuple[tuple[int, int], ...]]:
+    den = math.lcm(*[x.denominator for _, x in row])
+    if den == 1:
+        return 1, tuple((j, x.numerator) for j, x in row)
+    return den, tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
 
 
 def _int_rows(m: "RatMatrix") -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    return [_int_row(row) for row in m._e]
+    return [_int_row(row) for row in m._nz]
 
 
-def _fraction_row(den: int, nums: Iterable[int]) -> RatVector:
-    """Entries num / den, with zeros as the interned _ZERO."""
-    return tuple(Fraction(v, den) if v else _ZERO for v in nums)
+def _fraction_row(den: int, nums: Iterable[tuple[int, int]]) -> SparseRow:
+    """The stored row with entries num / den, zero numerators dropped."""
+    return tuple((j, Fraction(v, den)) for j, v in nums if v)
 
 
-def _int_product(arows, brows, cols: int) -> list[tuple[int, list[int]]]:
-    """Rows of A @ B as (den, dense numerators), from the integer rows of A and B.
+def _int_product(arows, brows, cols: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Integer rows of A @ B, from the integer rows of A and B.
 
-    Only nonzero entries are multiplied; the denominator of an output row is
-    the A row's times the lcm of the B rows it touches.
+    Row by row (Gustavson): only nonzero entries are multiplied, and the
+    denominator of an output row is the A row's times the lcm of the B rows
+    it touches.  A row touching one B row is that row scaled; otherwise the
+    products accumulate in a dense row of numerators.
     """
     out = []
     for den, anz in arows:
         terms = [(a, brows[k]) for k, a in anz if brows[k][1]]
-        acc = [0] * cols
-        if terms:
+        if not terms:
+            out.append((den, ()))
+        elif len(terms) == 1:
+            [(a, (db, bnz))] = terms
+            out.append((den * db, tuple((j, a * b) for j, b in bnz)))
+        else:
             lcm = math.lcm(*[db for _, (db, _) in terms])
+            acc = [0] * cols
             for a, (db, bnz) in terms:
                 c = a * (lcm // db)
                 for j, b in bnz:
                     acc[j] += c * b
-            den *= lcm
-        out.append((den, acc))
+            out.append((den * lcm, tuple((j, v) for j, v in enumerate(acc) if v)))
     return out
 
 
@@ -150,68 +227,62 @@ def _back(m: list[list[int]], pivots: list[int]) -> None:
 
 
 class RatMatrix:
-    """Immutable dense matrix of exact rationals.
+    """Immutable matrix of exact rationals, stored by row as its nonzeros.
 
-    The entries are ``Fraction`` rows.  Products, elimination and the Darboux
-    basis read them per call as integer rows: per row, the lcm of its
-    denominators and the integer numerators of its nonzero entries.  Only
-    nonzeros are kept, so the big block-sparse matrices built by the cloning
-    constructors (hundreds of rows, a handful of nonzeros per row) stay cheap,
-    and dense matrices with large entries cost one integer operation per step
-    where a ``Fraction`` would take a gcd.  The constructor parses each
-    distinct string entry once per call, through a memo that dies with the
-    call.
+    Each stored row is a tuple of ``(col, Fraction)`` pairs with ascending
+    columns and no zero values, one representation for every matrix, so
+    equal matrices store equal rows.  Work that walks the entries (parsing
+    aside, which reads every entry it is given) costs one step per nonzero:
+    the big block-sparse matrices built by the cloning constructors
+    (hundreds of rows, a handful of nonzeros per row) stay cheap.  Products,
+    elimination and the Darboux basis read the stored nonzeros per call as
+    integer rows (per row, the lcm of its denominators and the integer
+    numerators), so dense matrices with large entries cost one integer
+    operation per step where a ``Fraction`` would take a gcd.  ``row``,
+    ``tolist``, ``m[i, j]`` and ``to_json`` give dense results.  The
+    constructor takes a dense grid and parses each distinct string entry
+    once per call.
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, entries: Sequence[Sequence]):
-        # Parsed JSON grids repeat a few strings ("0" above all) thousands of
-        # times, so each distinct string goes through _frac once per call.
-        # Only str entries are memoized: True == 1 == 1.0 share a hash, and a
-        # memo keyed on raw values would let booleans and floats through.
-        parsed: dict[str, Fraction] = {}
-
-        def entry(x) -> Fraction:
-            if type(x) is not str:
-                return _frac(x)
-            f = parsed.get(x)
-            if f is None:
-                f = parsed[x] = _frac(x)
-            return f
-
-        e = tuple(tuple(map(entry, row)) for row in entries)
-        if e:
-            cols = len(e[0])
-            if any(len(row) != cols for row in e):
-                raise ShapeError("ragged rows")
-        else:
-            cols = 0
-        self.rows = len(e)
+        entry = _Parsed().__getitem__
+        grid = []
+        for row in entries:
+            row = tuple(row)
+            try:
+                grid.append(tuple(map(entry, row)))
+            except TypeError:
+                # an unhashable entry (a nested list, say) fails the memo
+                # lookup; parsing the row without it names the entry's type
+                grid.append(tuple(map(_frac, row)))
+        cols = len(grid[0]) if grid else 0
+        if any(len(row) != cols for row in grid):
+            raise ShapeError("ragged rows")
+        self.rows = len(grid)
         self.cols = cols
-        self._e = e
+        # parsing interns every zero as _ZERO, so an identity test drops them
+        self._nz = tuple(tuple([(j, x) for j, x in enumerate(row) if x is not _ZERO]) for row in grid)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, e: tuple[tuple[Fraction, ...], ...], cols: int | None = None) -> "RatMatrix":
-        # internal fast path: entries are already canonical Fractions
+    def _raw(cls, nz: tuple[SparseRow, ...], cols: int) -> "RatMatrix":
+        # internal fast path: the rows are already stored rows
         m = cls.__new__(cls)
-        m._e = e
-        m.rows = len(e)
-        m.cols = len(e[0]) if e else (cols or 0)
+        m._nz = nz
+        m.rows = len(nz)
+        m.cols = cols
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        # rows are immutable, so they can all be one tuple
-        return cls._raw(((_ZERO,) * cols,) * rows, cols)
+        return cls._raw(((),) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls._raw(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
-        )
+        return cls._raw(tuple(((i, _ONE),) for i in range(n)), n)
 
     @classmethod
     def permutation(cls, perm: Sequence[int]) -> "RatMatrix":
@@ -219,67 +290,55 @@ class RatMatrix:
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation")
-        return cls._raw(
-            tuple(tuple(_ONE if perm[i] == j else _ZERO for j in range(n)) for i in range(n)), n
-        )
+        return cls._raw(tuple(((j, _ONE),) for j in perm), n)
 
     @classmethod
     def block_diag(cls, *blocks: "RatMatrix") -> "RatMatrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[_ZERO] * cols for _ in range(rows)]
-        r = c = 0
+        rows = []
+        c = 0
         for b in blocks:
-            for i in range(b.rows):
-                out[r + i][c : c + b.cols] = list(b._e[i])
-            r += b.rows
+            rows += b._nz if not c else [tuple((j + c, x) for j, x in row) for row in b._nz]
             c += b.cols
-        return cls._raw(tuple(map(tuple, out)), cols)
+        return cls._raw(tuple(rows), c)
 
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self._e[i][j]
+        row = self._nz[i]
+        if j < 0:
+            j += self.cols
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        k = bisect_left(row, j, key=itemgetter(0))
+        return row[k][1] if k < len(row) and row[k][0] == j else _ZERO
 
     def row(self, i: int) -> RatVector:
-        return self._e[i]
+        return tuple(_densify(self._nz[i], self.cols))
 
     def tolist(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._e]
+        return [_densify(row, self.cols) for row in self._nz]
 
     # -- algebra -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self._e == other._e and self.cols == other.cols
+        return isinstance(other, RatMatrix) and self.cols == other.cols and self._nz == other._nz
 
     def __hash__(self):
-        return hash((self.cols, self._e))
+        return hash((self.cols, self._nz))
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix._raw(tuple(tuple(-x for x in row) for row in self._e), self.cols)
+        return RatMatrix._raw(tuple(tuple((j, -x) for j, x in row) for row in self._nz), self.cols)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return RatMatrix._raw(
-            tuple(
-                tuple((a + b) if b else a for a, b in zip(r1, r2))
-                for r1, r2 in zip(self._e, other._e)
-            ),
-            self.cols,
-        )
+        return RatMatrix._raw(tuple(map(_combine, self._nz, other._nz)), self.cols)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"cannot subtract {other.shape} from {self.shape}")
-        return RatMatrix._raw(
-            tuple(
-                tuple((a - b) if b else a for a, b in zip(r1, r2))
-                for r1, r2 in zip(self._e, other._e)
-            ),
-            self.cols,
-        )
+        return self + -other
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -287,7 +346,7 @@ class RatMatrix:
         if not (self.cols and other.cols):
             return RatMatrix.zeros(self.rows, other.cols)
         rows = _int_product(_int_rows(self), _int_rows(other), other.cols)
-        return RatMatrix._raw(tuple(_fraction_row(den, acc) for den, acc in rows), other.cols)
+        return RatMatrix._raw(tuple(_fraction_row(den, nz) for den, nz in rows), other.cols)
 
     def apply(self, v: Sequence) -> RatVector:
         return self._apply(vec(v))
@@ -296,10 +355,21 @@ class RatMatrix:
         # internal fast path: the vector's entries are already exact
         if len(v) != self.cols:
             raise ShapeError(f"cannot apply {self.shape} to a vector of length {len(v)}")
-        support = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(
-            sum((row[j] * x for j, x in support if row[j]), _ZERO) for row in self._e
-        )
+        # parsed zeros, zero_vec and rows with no terms here are the interned
+        # _ZERO, so an identity test finds the support; an uninterned zero
+        # that gets in only adds 0
+        support = {j: x for j, x in enumerate(v) if x is not _ZERO}
+        if not support:
+            return (_ZERO,) * self.rows
+        out = []
+        for row in self._nz:
+            acc = _ZERO
+            for j, x in row:
+                y = support.get(j)
+                if y is not None:
+                    acc = x * y if acc is _ZERO else acc + x * y
+            out.append(acc)
+        return tuple(out)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -307,23 +377,14 @@ class RatMatrix:
 
     @property
     def T(self) -> "RatMatrix":
-        if not self.rows:
-            return RatMatrix.zeros(self.cols, 0)
-        return RatMatrix._raw(tuple(zip(*self._e)), self.rows)
+        return RatMatrix._raw(_transpose(self._nz, self.cols), self.rows)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self._e for x in row)
+        return not any(self._nz)
 
     def max_abs(self) -> Fraction:
         """Largest absolute entry; 0 for the empty matrix."""
-        best = _ZERO
-        for row in self._e:
-            for x in row:
-                if x:
-                    ax = -x if x < 0 else x
-                    if ax > best:
-                        best = ax
-        return best
+        return max((abs(x) for row in self._nz for _, x in row), default=_ZERO)
 
     # -- elimination -------------------------------------------------------
 
@@ -332,8 +393,8 @@ class RatMatrix:
         m = _dense(_int_rows(self), self.cols)
         pivots = _forward(m, self.cols)
         _back(m, pivots)
-        red = [_fraction_row(m[r][c], m[r]) for r, c in enumerate(pivots)]
-        red += [(_ZERO,) * self.cols] * (self.rows - len(pivots))
+        red = [_fraction_row(m[r][c], enumerate(m[r])) for r, c in enumerate(pivots)]
+        red += [()] * (self.rows - len(pivots))
         return RatMatrix._raw(tuple(red), self.cols), pivots
 
     def rank(self) -> int:
@@ -351,16 +412,20 @@ class RatMatrix:
         if pivots[:n] != list(range(n)):
             raise DegenerateFormError("matrix is singular")
         _back(m, pivots)
-        return RatMatrix._raw(tuple(_fraction_row(m[r][r], m[r][n:]) for r in range(n)), n)
+        return RatMatrix._raw(
+            tuple(_fraction_row(m[r][r], enumerate(m[r][n:])) for r in range(n)), n
+        )
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(x) for x in row] for row in self._e],
-        }
+        entries = []
+        for nz in self._nz:
+            row = ["0"] * self.cols
+            for j, x in nz:
+                row[j] = str(x)
+            entries.append(row)
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "RatMatrix":
@@ -368,16 +433,16 @@ class RatMatrix:
         # a JSON string or object is iterable too, and would parse as a row
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise TypeError("matrix entries must be a JSON list of lists")
-        if not entries:  # cols are only recoverable from the header
-            m = cls._raw((), int(data["cols"]))
-        else:
-            m = cls(entries)
-        if (m.rows, m.cols) != (data["rows"], data["cols"]):
+        rows, cols = _json_int(data, "rows"), _json_int(data, "cols")
+        # with no rows, cols are only recoverable from the header; a negative
+        # count fails the shape check below
+        m = cls(entries) if entries else cls._raw((), max(cols, 0))
+        if (m.rows, m.cols) != (rows, cols):
             raise ShapeError("entry grid does not match declared rows/cols")
         return m
 
     def __repr__(self):
-        return f"RatMatrix({[[str(x) for x in row] for row in self._e]})"
+        return f"RatMatrix({[[str(x) for x in row] for row in self.tolist()]})"
 
 
 class SkewForm:
@@ -430,7 +495,7 @@ class SkewForm:
     @classmethod
     def from_json(cls, data: dict) -> "SkewForm":
         form = cls(RatMatrix.from_json(data))
-        if form.dim != data["dim"]:
+        if form.dim != _json_int(data, "dim"):
             raise ShapeError("declared dim does not match matrix size")
         return form
 
@@ -460,16 +525,15 @@ def symplectic_defect(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> Ra
     # S^T . (form_out . S) - form_in in integers: the middle product and the
     # difference never become Fractions
     pushed = _int_product(_int_rows(form_out.matrix), _int_rows(S), S.cols)
-    pushed = [(den, [(j, v) for j, v in enumerate(acc) if v]) for den, acc in pushed]
     rows = []
     for (den, acc), (wden, wnz) in zip(
         _int_product(_int_rows(S.T), pushed, S.cols), _int_rows(form_in.matrix)
     ):
         # acc / den - w / wden, over the denominator den * wden
-        acc = [v * wden for v in acc]
+        diff = {j: v * wden for j, v in acc}
         for j, w in wnz:
-            acc[j] -= w * den
-        rows.append(_fraction_row(den * wden, acc))
+            diff[j] = diff.get(j, 0) - w * den
+        rows.append(_fraction_row(den * wden, sorted(diff.items())))
     return RatMatrix._raw(tuple(rows), S.cols)
 
 
@@ -525,10 +589,9 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
             g = math.gcd(*w)
             projected.append((sv * Fraction(g, t.denominator), [x // g for x in w]))
         remaining = projected
-    if not columns:
-        return RatMatrix.zeros(0, 0)
-    cols = [_fraction_row(s.denominator, [s.numerator * x for x in u]) for s, u in columns]
-    return RatMatrix._raw(tuple(zip(*cols)), n)
+    cols = [_fraction_row(s.denominator, [(i, s.numerator * x) for i, x in enumerate(u)])
+            for s, u in columns]
+    return RatMatrix._raw(_transpose(cols, n), n)
 
 
 def form_kernel(matrix: RatMatrix) -> list[RatVector]:

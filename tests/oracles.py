@@ -3,7 +3,8 @@
 The exact kernels are the straightforward ``Fraction`` versions: every
 multiply, add and zero test is a rational operation.  They are slow but
 obviously right, so the integer kernels in ``symclone.exact`` must return
-equal matrices (and equal pivots).  ``det`` has no program counterpart: the
+equal matrices (and equal pivots).  ``dense_key`` is what matrix equality
+means, computed from a dense grid without the program's storage.  ``det`` has no program counterpart: the
 tests use it to check that constructed maps have determinant one.
 ``check_traditional_diagram`` codes the machine-free cloning diagram
 directly, so the reduction law of the generic checker can be tested against
@@ -20,6 +21,12 @@ from symclone import CloningProcess, RatMatrix, SkewForm, standard_cloner
 from symclone.diagrams import DiagramInstance, DiagramReport
 
 _ZERO = Fraction(0)
+
+
+def dense_key(grid: Sequence[Sequence], cols: int) -> tuple:
+    """Two matrices are equal iff their keys are: the same column count and
+    the same dense grid of values, however each entry is spelled."""
+    return cols, tuple(tuple(Fraction(x) for x in row) for row in grid)
 
 
 def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -6,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symclone
-from symclone import RatMatrix, basic_cloner, standard_form, zero_vec
+from symclone import RatMatrix, SkewForm, basic_cloner, mirror_cloner, standard_form, zero_vec
 from symclone.cli import _MAX_CONSTRUCT_DIM, _MAX_PROBE_PAIRS, _MAX_READOUT_PAIRS, run
 from symclone.quantum import basis_cloner, complex_matrix_to_json
 
@@ -323,6 +328,32 @@ class TestContract:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "fault", ["phi rows 6.0", "object dim 2.0", "readout cols 2.0", "empty phi cols false"]
+    )
+    def test_non_integer_size_header_is_a_parse_error(self, tmp_path, capsys, fault):
+        # 6 == 6.0 and 0 == False, so each of these used to verify as a pass
+        if fault == "empty phi cols false":
+            _, out, _ = run_capture(capsys, "construct-general", "--dim", "0")
+            data = json.loads(out)
+            assert data["phi"] == {"rows": 0, "cols": 0, "entries": []}
+            data["phi"]["cols"] = False
+        else:
+            data = basic_cloner().to_json()
+            field, key, value = {
+                "phi rows 6.0": ("phi", "rows", 6.0),
+                "object dim 2.0": ("object_form", "dim", 2.0),
+                "readout cols 2.0": ("readout", "cols", 2.0),
+            }[fault]
+            data[field][key] = value
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_capture(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a JSON integer" in err
+
     def test_closed_stdout_exits_two_without_traceback(self):
         # the dim-100 report is 1.5 MB, far more than a pipe buffers, so the
         # write fails whether or not the child started writing before the close
@@ -404,9 +435,144 @@ class TestNumpyFree:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {name: code for name, (_, code) in commands.items()}
 
+    def test_float_commands_exit_two_without_numpy(self, tmp_path):
+        hilb = tmp_path / "hilb.json"
+        hilb.write_text(json.dumps({
+            "unitary": complex_matrix_to_json(basis_cloner(2)),
+            "beta": [[1.0, 0.0], [0.0, 0.0]],
+        }))
+        script = 'import sys; sys.modules["numpy"] = None; from symclone.cli import main; main()'
+        for argv in (["probe", "--m", "2", "--k", "1"],
+                     ["quantum-refute", "--dim", "3"],
+                     ["diagram-check", "--instance", "hilb", "--input", str(hilb)]):
+            out = subprocess.run([sys.executable, "-c", script, *argv], env=SRC_ENV,
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == 2, (argv, out.stderr)
+            assert out.stdout == ""
+            assert "Traceback" not in out.stderr
+            assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+            assert "needs numpy" in out.stderr
+
     def test_import_loads_no_numpy(self):
         out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import symclone.cli"],
                              env=SRC_ENV, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert "symclone.cli" in out.stderr
         assert [line for line in out.stderr.splitlines() if "numpy" in line] == []
+
+
+def _leaf_paths(doc, path=()):
+    """Paths to every value inside a JSON document, containers included."""
+    out = [path] if path else []
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            out += _leaf_paths(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            out += _leaf_paths(v, path + (i,))
+    return out
+
+
+def _matrix_paths(doc, path=()):
+    """Paths to every matrix (a dict with rows, cols and entries) in a document."""
+    if not isinstance(doc, dict):
+        return []
+    out = [path] if {"rows", "cols", "entries"} <= doc.keys() else []
+    for k, v in doc.items():
+        out += _matrix_paths(v, path + (k,))
+    return out
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+# Replacement values: bad fractions, wrong types, and sizes that are
+# negative, non-integer or far too large.
+_BAD_VALUES = st.one_of(
+    st.sampled_from(["1/0", "x", "", " ", "1/2/3", "--1", "0x10", "nan", "inf", "1.5", "-0", "7/3"]),
+    st.sampled_from([None, True, False, 1.5, 2.0, {}, [], [[]], [["1"]], {"rows": 1}, "2"]),
+    st.sampled_from([-1, 0, 1, 3, 5, 10**9, 10**30, -(10**9)]),
+)
+
+
+def _fuzz_documents() -> dict:
+    """Valid inputs, each with the commands that read it."""
+    scaled = SkewForm(RatMatrix([[0, 2, 0, 0], [-2, 0, 0, "1/3"], [0, 0, 0, 1], [0, "-1/3", -1, 0]]))
+    undersized = {
+        **basic_cloner().to_json(),
+        "machine_form": standard_form(0).to_json(),
+        "ready": [],
+        "phi": RatMatrix.identity(4).to_json(),
+        "readout": RatMatrix.zeros(0, 2).to_json(),
+    }
+    process = [["verify"], ["size-witness"], ["diagram-check", "--instance", "symp"]]
+    return {
+        "basic": (basic_cloner().to_json(), process),
+        "mirror": (mirror_cloner(scaled).to_json(), process),
+        "undersized": (undersized, process),
+        "form": (scaled.to_json(), [["darboux"]]),
+        "hilbert": ({"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]},
+                    [["diagram-check", "--instance", "hilb", "--samples", "2"]]),
+    }
+
+
+def _mutate(doc, data) -> None:
+    """Apply one mutation, drawn by ``data``, to ``doc`` in place."""
+    kind = data.draw(st.sampled_from(["replace", "delete", "append", "odd", "size"]))
+    matrices = _matrix_paths(doc)
+    if kind in ("odd", "size") and matrices:
+        m = _at(doc, data.draw(st.sampled_from(matrices)))
+        entries = m["entries"]
+        if kind == "odd" and isinstance(entries, list) and all(isinstance(r, list) for r in entries):
+            # drop the last row and column, keeping the headers true
+            m["entries"] = [row[:-1] for row in entries[:-1]]
+            m["rows"] = len(m["entries"])
+            m["cols"] = len(m["entries"][0]) if m["entries"] else 0
+            if "dim" in m:
+                m["dim"] = m["rows"]
+        else:  # a mismatched, non-integer or oversized header
+            key = data.draw(st.sampled_from([k for k in ("rows", "cols", "dim") if k in m]))
+            value, options = m[key], [10**9, 10**30, 2.0]
+            if type(value) is int:
+                options += [value + 1, value - 1, float(value)]
+            m[key] = data.draw(st.sampled_from(options))
+        return
+    paths = _leaf_paths(doc)
+    if not paths:  # every field deleted already
+        return
+    path = data.draw(st.sampled_from(paths))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    if kind == "delete":  # a missing field, or a ragged row or vector
+        del parent[key]
+    elif kind == "append" and isinstance(parent[key], list):
+        parent[key].append(data.draw(st.sampled_from(["0", "1/2", 0])))
+    else:
+        parent[key] = data.draw(_BAD_VALUES)
+
+
+class TestMutatedInput:
+    """Every mutation of a valid input ends in exit 0, 1 or 2: no exception
+    escapes ``cli.run``, whatever the parser meets."""
+
+    DOCUMENTS = _fuzz_documents()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_documents_exit_cleanly(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(self.DOCUMENTS)))
+        doc, commands = self.DOCUMENTS[name]
+        doc = copy.deepcopy(doc)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(doc, data)
+        path = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([*argv, "--input", str(path)])
+            assert code in (0, 1, 2), (argv, doc)
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from symclone import (
     DegenerateFormError,
+    basic_cloner,
+    general_cloner,
+    mirror_cloner,
+    readout_solver,
+    standard_cloner,
     RatMatrix,
     ShapeError,
     SkewForm,
@@ -244,6 +249,24 @@ class TestSerialization:
         with pytest.raises(ShapeError):
             RatMatrix.from_json(data)
 
+    @pytest.mark.parametrize("key", ["rows", "cols", "dim"])
+    @pytest.mark.parametrize("value", [2.0, True, "2", None], ids=repr)
+    def test_sizes_must_be_json_integers(self, key, value):
+        # each equals the true size, or converts to it, so a comparison
+        # alone would accept it
+        data = standard_form(1).to_json()
+        data[key] = value
+        with pytest.raises(TypeError, match=f"^{key} must be a JSON integer"):
+            SkewForm.from_json(data)
+        if key != "dim":
+            with pytest.raises(TypeError, match=f"^{key} must be a JSON integer"):
+                RatMatrix.from_json(data)
+
+    def test_negative_cols_of_an_empty_matrix_rejected(self):
+        with pytest.raises(ShapeError):
+            RatMatrix.from_json({"rows": 0, "cols": -3, "entries": []})
+        assert RatMatrix.from_json({"rows": 0, "cols": 3, "entries": []}).shape == (0, 3)
+
 
 # Entries for the kernel-versus-reference tests: zeros, and rationals with
 # negative numerators and denominators up to 10^6.
@@ -374,3 +397,139 @@ class TestHighBitKernels:
         for phi in (process.phi, RatMatrix(rows)):
             pulled = oracles.matmul(oracles.matmul(phi.T, xi.matrix), phi)
             assert symplectic_defect(phi, xi, xi) == pulled - xi.matrix
+
+
+# Entries for the storage tests: mostly zeros, few distinct values, and the
+# same value spelled several ways, so that equal rows and cancellations are
+# common.
+SPARSE_ENTRIES = st.sampled_from(
+    [0, 0, 0, 0, "0", "-0", "0/3", Fraction(0), 1, "1", "2/2", -1, "-1", "1/2", "2/4", Fraction(-3, 2), "3"]
+)
+
+
+@st.composite
+def sparse_grids(draw, rows=None, cols=None):
+    """A dense grid of entries, 0 to 5 on a side, and its column count."""
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    return [draw(st.lists(SPARSE_ENTRIES, min_size=cols, max_size=cols)) for _ in range(rows)], cols
+
+
+def from_grid(grid, cols) -> RatMatrix:
+    return RatMatrix(grid) if grid else RatMatrix.zeros(0, cols)
+
+
+def dense(grid) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in grid]
+
+
+def assert_canonical(m: RatMatrix) -> None:
+    """Each stored row lists its nonzero entries once each, by ascending column."""
+    assert len(m._nz) == m.rows
+    for row in m._nz:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= j < m.cols for j in cols)
+        assert all(type(x) is Fraction and x != 0 for _, x in row)
+
+
+class TestSparseRows:
+    """Matrices store each row as its nonzeros; every constructor and operation
+    must keep that form, and the dense views must match a dense reference."""
+
+    @given(sparse_grids(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dense_views_match_the_grid(self, grid_cols, data):
+        grid, cols = grid_cols
+        m, d = from_grid(grid, cols), dense(grid)
+        assert_canonical(m)
+        assert m.shape == (len(grid), cols)
+        assert m.tolist() == d
+        assert [m.row(i) for i in range(m.rows)] == [tuple(r) for r in d]
+        for i in range(m.rows):
+            for j in range(cols):
+                assert m[i, j] == m[i, j - cols] == d[i][j]
+            for j in (cols, -cols - 1):
+                with pytest.raises(IndexError):
+                    m[i, j]
+        data_json = m.to_json()
+        assert data_json == {"rows": m.rows, "cols": cols, "entries": [[str(x) for x in r] for r in d]}
+        assert RatMatrix.from_json(data_json) == m
+        v = data.draw(st.lists(SPARSE_ENTRIES, min_size=cols, max_size=cols))
+        assert m.apply(v) == tuple(sum((x * Fraction(y) for x, y in zip(r, v)), Fraction(0)) for r in d)
+        assert m.is_zero() == (not any(x for r in d for x in r))
+        assert m.max_abs() == max((abs(x) for r in d for x in r), default=0)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_operations_keep_rows_canonical(self, data):
+        grid, cols = data.draw(sparse_grids())
+        a, d = from_grid(grid, cols), dense(grid)
+        b_grid, _ = data.draw(sparse_grids(rows=a.rows, cols=cols))
+        b, e = from_grid(b_grid, cols), dense(b_grid)
+        c = from_grid(*data.draw(sparse_grids(rows=cols)))
+        expected = {
+            "T": [[d[i][j] for i in range(a.rows)] for j in range(cols)],
+            "neg": [[-x for x in r] for r in d],
+            "add": [[x + y for x, y in zip(r, s)] for r, s in zip(d, e)],
+            "sub": [[x - y for x, y in zip(r, s)] for r, s in zip(d, e)],
+        }
+        results = {"T": a.T, "neg": -a, "add": a + b, "sub": a - b}
+        for name, m in results.items():
+            assert_canonical(m)
+            assert m.tolist() == expected[name], name
+        assert (a - a) == RatMatrix.zeros(*a.shape) and (a - a).is_zero()
+        product = a @ c
+        assert_canonical(product)
+        assert product == oracles.matmul(a, c)
+        red, _ = a.rref()
+        assert_canonical(red)
+        stacked = RatMatrix.block_diag(a, b, c)
+        assert_canonical(stacked)
+        width, left, grid = a.cols + b.cols + c.cols, 0, []
+        for m in (a, b, c):
+            grid += [[0] * left + r + [0] * (width - left - m.cols) for r in m.tolist()]
+            left += m.cols
+        assert stacked.tolist() == grid
+        if a.rows == cols and a.rank() == cols:
+            assert_canonical(a.inverse())
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash_agree_with_the_dense_oracle(self, data):
+        grid, cols = data.draw(sparse_grids(cols=data.draw(st.integers(0, 3))))
+        kind = data.draw(st.sampled_from(["respelled", "fresh", "other shape"]))
+        if kind == "respelled":  # the same values, spelled as Fractions and strings
+            other = [[data.draw(st.sampled_from([Fraction(x), str(Fraction(x))])) for x in row] for row in grid]
+            other_cols = cols
+        elif kind == "fresh":
+            other, other_cols = data.draw(sparse_grids(rows=len(grid), cols=cols))
+        else:
+            other, other_cols = data.draw(sparse_grids())
+        a, b = from_grid(grid, cols), from_grid(other, other_cols)
+        same = oracles.dense_key(grid, cols) == oracles.dense_key(other, other_cols)
+        assert (a == b) == same and (a != b) == (not same)
+        if same:
+            assert hash(a) == hash(b)
+
+    def test_constructors_and_builders_store_canonical_rows(self):
+        rng = random.Random(5)
+        form = random_skew_form(4, rng)
+        general = general_cloner(form)
+        mirror = mirror_cloner(form)
+        bad = basic_cloner().phi.tolist()
+        bad[4][4] += 1
+        matrices = [
+            RatMatrix.zeros(3, 2), RatMatrix.zeros(0, 4), RatMatrix.identity(3),
+            RatMatrix.permutation([2, 0, 1]), RatMatrix.block_diag(),
+            RatMatrix([[0, "1/2"], ["-0", 0]]), standard_form(3).matrix,
+            basic_cloner().phi, standard_cloner(3).phi, standard_cloner(3).readout,
+            readout_solver(2, 3), readout_solver(0, 2),
+            general.phi, general.readout, mirror.phi, mirror.machine_form.matrix,
+            darboux_basis(form), form.matrix.inverse(),
+            symplectic_defect(RatMatrix(bad), *[basic_cloner().total_form()] * 2),
+            verify_cloning(general).inferred_readout,
+        ]
+        for m in matrices:
+            assert_canonical(m)
+            assert from_grid(m.tolist(), m.cols) == m
