@@ -396,10 +396,11 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
         tuple(tuple((j, x) for j, x in row if j < dm) for row in c.phi._nz[2 * dm :]), dm
     )
 
-    # -omega = F^T sigma F; implied by the two checks above when they are
-    # exactly zero, but reported independently for imported candidates
-    pullback_defect = (
-        c.readout.T @ c.machine_form.matrix @ c.readout + c.object_form.matrix
+    # -omega = F^T sigma F, i.e. F is symplectic from (M, -omega) to (N, sigma);
+    # implied by the two checks above when they are exactly zero, but
+    # reported independently for imported candidates
+    pullback_defect = symplectic_defect(
+        c.readout, SkewForm._trusted(-c.object_form.matrix), c.machine_form
     )
     track(pullback_defect.max_abs(), "readout does not pull the machine form back to -omega")
 

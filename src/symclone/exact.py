@@ -10,14 +10,17 @@ normalization is a rational symplectic Gram-Schmidt.  The kernels (products,
 elimination and the Darboux basis) run on integers instead: each call reads
 the stored nonzeros of its operands as integer rows, a common denominator
 per row with the integer numerators of the row's entries, and a result entry
-becomes a ``Fraction`` only once, at the end.  Floating point only appears
-in the numerical probe and the quantum module, never here.
+becomes a ``Fraction`` only once, at the end.  The symplectic defect
+S^T . form_out . S - form_in of any map between skew forms is itself skew,
+so its kernel computes the strict upper triangle alone and mirrors it.
+Floating point only appears in the numerical probe and the quantum module,
+never here.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
@@ -151,31 +154,43 @@ def _fraction_row(den: int, nums: Iterable[tuple[int, int]]) -> SparseRow:
     return tuple((j, Fraction(v, den)) for j, v in nums if v)
 
 
+def _int_sum(den: int, terms, lo: int, cols: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Integer row of (sum of a * b) / den over the terms ``(a, b)``, with b
+    an integer row whose entries all lie in columns lo to cols - 1.
+
+    The denominator is den times the lcm of the nonempty b rows'.  One term
+    is that row scaled; several accumulate in a dense row of numerators, of
+    which only columns lo onward are read back.
+    """
+    terms = [(a, b) for a, b in terms if b[1]]
+    if not terms:
+        return den, ()
+    if len(terms) == 1:
+        [(a, (db, bnz))] = terms
+        return den * db, tuple((j, a * b) for j, b in bnz)
+    lcm = math.lcm(*[db for _, (db, _) in terms])
+    acc = [0] * cols
+    for a, (db, bnz) in terms:
+        c = a * (lcm // db)
+        for j, b in bnz:
+            acc[j] += c * b
+    return den * lcm, tuple((j, v) for j, v in enumerate(acc[lo:], lo) if v)
+
+
 def _int_product(arows, brows, cols: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """Integer rows of A @ B, from the integer rows of A and B.
 
     Row by row (Gustavson): only nonzero entries are multiplied, and the
     denominator of an output row is the A row's times the lcm of the B rows
-    it touches.  A row touching one B row is that row scaled; otherwise the
-    products accumulate in a dense row of numerators.
+    it touches.
     """
-    out = []
-    for den, anz in arows:
-        terms = [(a, brows[k]) for k, a in anz if brows[k][1]]
-        if not terms:
-            out.append((den, ()))
-        elif len(terms) == 1:
-            [(a, (db, bnz))] = terms
-            out.append((den * db, tuple((j, a * b) for j, b in bnz)))
-        else:
-            lcm = math.lcm(*[db for _, (db, _) in terms])
-            acc = [0] * cols
-            for a, (db, bnz) in terms:
-                c = a * (lcm // db)
-                for j, b in bnz:
-                    acc[j] += c * b
-            out.append((den * lcm, tuple((j, v) for j, v in enumerate(acc) if v)))
-    return out
+    return [_int_sum(den, [(a, brows[k]) for k, a in anz], 0, cols) for den, anz in arows]
+
+
+def _past(row, i: int):
+    """The integer row with only its entries past column i."""
+    den, nz = row
+    return den, nz[bisect_right(nz, i, key=itemgetter(0)) :]
 
 
 def _dense(rows, cols: int) -> list[list[int]]:
@@ -517,24 +532,31 @@ def direct_sum(a: SkewForm, b: SkewForm) -> SkewForm:
 
 
 def symplectic_defect(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> RatMatrix:
-    """Exact residual S^T . form_out . S - form_in; zero iff S is symplectic."""
+    """Exact residual S^T . form_out . S - form_in; zero iff S is symplectic.
+
+    Both forms are skew, so the residual is skew for any S: its diagonal is
+    zero and its lower triangle is the negated upper one.  Only the strict
+    upper triangle U is computed, and the result is U - U^T.  The forms must
+    therefore be skew, which ``SkewForm(...)`` and ``SkewForm.from_json``
+    check; only the unchecked ``SkewForm._trusted`` can break it.
+    """
     if S.cols != form_in.dim or S.rows != form_out.dim:
         raise ShapeError(
             f"map {S.shape} does not match forms of dim {form_in.dim} -> {form_out.dim}"
         )
-    # S^T . (form_out . S) - form_in in integers: the middle product and the
-    # difference never become Fractions
+    # in integers: pushed = form_out . S in full; row i of U sums the pushed
+    # rows' entries past column i, weighted by row i of S^T (over its
+    # denominator den), and form_in's row past column i, weighted by -den
     pushed = _int_product(_int_rows(form_out.matrix), _int_rows(S), S.cols)
-    rows = []
-    for (den, acc), (wden, wnz) in zip(
-        _int_product(_int_rows(S.T), pushed, S.cols), _int_rows(form_in.matrix)
-    ):
-        # acc / den - w / wden, over the denominator den * wden
-        diff = {j: v * wden for j, v in acc}
-        for j, w in wnz:
-            diff[j] = diff.get(j, 0) - w * den
-        rows.append(_fraction_row(den * wden, sorted(diff.items())))
-    return RatMatrix._raw(tuple(rows), S.cols)
+    upper = []
+    for i, ((den, snz), w) in enumerate(zip(_int_rows(S.T), _int_rows(form_in.matrix))):
+        terms = [(a, _past(pushed[k], i)) for k, a in snz]
+        terms.append((-den, _past(w, i)))
+        upper.append(_fraction_row(*_int_sum(den, terms, i + 1, S.cols)))
+    lower = _transpose(upper, S.cols)
+    return RatMatrix._raw(
+        tuple(tuple((j, -x) for j, x in low) + up for low, up in zip(lower, upper)), S.cols
+    )
 
 
 def is_symplectic_map(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> bool:

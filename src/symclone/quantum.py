@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import CloningDiagram, DiagramInstance
-from .exact import ShapeError
+from .exact import ShapeError, _json_int
 
 # Absolute tolerance of every float check on the Hilbert-space side: isometry
 # defect, unit norms, the overlap range and arrow equality in the Hilbert
@@ -194,9 +194,10 @@ def complex_matrix_to_json(a: np.ndarray) -> dict:
 
 def complex_matrix_from_json(data: dict) -> np.ndarray:
     a = np.array([[complex(re, im) for re, im in row] for row in data["entries"]], dtype=complex)
+    shape = (_json_int(data, "rows"), _json_int(data, "cols"))
     if a.size == 0:
-        a = a.reshape(data["rows"], data["cols"])
-    if a.shape != (data["rows"], data["cols"]):
+        a = a.reshape(shape)
+    if a.shape != shape:
         raise ValueError("entry grid does not match declared rows/cols")
     return a
 

@@ -272,6 +272,24 @@ class TestDiagramCheck:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1  # no traceback
 
+    @pytest.mark.parametrize("key, value", [("rows", 4.0), ("cols", 4.0), ("rows", True), ("cols", False)])
+    def test_non_integer_hilbert_size_header_is_a_parse_error(self, tmp_path, capsys, key, value):
+        # 4 == 4.0, so a float header used to pass and the check ran (exit 1)
+        payload = {
+            "unitary": complex_matrix_to_json(basis_cloner(2)),
+            "beta": [[1.0, 0.0], [0.0, 0.0]],
+        }
+        payload["unitary"][key] = value
+        path = tmp_path / "hilb.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_capture(
+            capsys, "diagram-check", "--instance", "hilb", "--input", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a JSON integer" in err
+
 
 class TestContract:
     def test_malformed_json_names_the_file(self, tmp_path, capsys):
@@ -489,6 +507,13 @@ def _at(doc, path):
     return doc
 
 
+def _non_integer_header(doc) -> bool:
+    """Whether some matrix in the document has a size header that is not a
+    JSON integer (a float or a boolean equal to the true size included)."""
+    matrices = [_at(doc, p) for p in _matrix_paths(doc)]
+    return any(type(m[k]) is not int for m in matrices for k in ("rows", "cols", "dim") if k in m)
+
+
 # Replacement values: bad fractions, wrong types, and sizes that are
 # negative, non-integer or far too large.
 _BAD_VALUES = st.one_of(
@@ -535,7 +560,7 @@ def _mutate(doc, data) -> None:
                 m["dim"] = m["rows"]
         else:  # a mismatched, non-integer or oversized header
             key = data.draw(st.sampled_from([k for k in ("rows", "cols", "dim") if k in m]))
-            value, options = m[key], [10**9, 10**30, 2.0]
+            value, options = m[key], [10**9, 10**30, 2.0, True]
             if type(value) is int:
                 options += [value + 1, value - 1, float(value)]
             m[key] = data.draw(st.sampled_from(options))
@@ -550,12 +575,14 @@ def _mutate(doc, data) -> None:
     elif kind == "append" and isinstance(parent[key], list):
         parent[key].append(data.draw(st.sampled_from(["0", "1/2", 0])))
     else:
-        parent[key] = data.draw(_BAD_VALUES)
+        # a copy: a later "append" must not grow the strategy's own list
+        parent[key] = copy.deepcopy(data.draw(_BAD_VALUES))
 
 
 class TestMutatedInput:
     """Every mutation of a valid input ends in exit 0, 1 or 2: no exception
-    escapes ``cli.run``, whatever the parser meets."""
+    escapes ``cli.run``, whatever the parser meets, and a size header that is
+    not a JSON integer always exits 2."""
 
     DOCUMENTS = _fuzz_documents()
 
@@ -574,5 +601,7 @@ class TestMutatedInput:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run([*argv, "--input", str(path)])
             assert code in (0, 1, 2), (argv, doc)
+            if _non_integer_header(doc):
+                assert code == 2, (argv, doc)
             if code == 2:
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

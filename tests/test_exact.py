@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -335,8 +336,7 @@ class TestIntegerKernels:
         s = RatMatrix(
             [[Fraction(rng.randint(-9, 9), rng.randint(1, 10**6)) for _ in range(dim)] for _ in range(dim)]
         )
-        pulled = oracles.matmul(oracles.matmul(s.T, form_out.matrix), s)
-        assert symplectic_defect(s, form_in, form_out) == pulled - form_in.matrix
+        assert_skew_defect(s, form_in, form_out)
 
     def test_symplectic_defect_of_a_map_into_the_zero_space(self):
         # S^T . 0 . S is the zero 2x2 matrix, so the defect is -form_in
@@ -395,8 +395,19 @@ class TestHighBitKernels:
         rows = process.phi.tolist()
         rows[3][5] += Fraction(1, 7)
         for phi in (process.phi, RatMatrix(rows)):
-            pulled = oracles.matmul(oracles.matmul(phi.T, xi.matrix), phi)
-            assert symplectic_defect(phi, xi, xi) == pulled - xi.matrix
+            assert_skew_defect(phi, xi, xi)
+
+    def test_verify_reports_the_reference_defect(self, process):
+        rows = process.phi.tolist()
+        rows[7][2] += Fraction(3, 11)
+        perturbed = replace(process, phi=RatMatrix(rows))
+        xi = process.total_form()
+        defect = oracle_defect(perturbed.phi, xi, xi).tolist()
+        first = next((i, j, x) for i, row in enumerate(defect) for j, x in enumerate(row) if x)
+        report = verify_cloning(perturbed)
+        assert report.verdict == "fail"
+        assert report.first_defect_entry == first
+        assert report.symplectic_defect_norm == max(abs(x) for row in defect for x in row)
 
 
 # Entries for the storage tests: mostly zeros, few distinct values, and the
@@ -533,3 +544,64 @@ class TestSparseRows:
         for m in matrices:
             assert_canonical(m)
             assert from_grid(m.tolist(), m.cols) == m
+
+
+def oracle_defect(s: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> RatMatrix:
+    """S^T . form_out . S - form_in by the Fraction reference product."""
+    return oracles.matmul(oracles.matmul(s.T, form_out.matrix), s) - form_in.matrix
+
+
+def assert_skew_defect(s: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> None:
+    """The defect equals the reference, is stored canonically, and is skew
+    with a zero diagonal."""
+    d = symplectic_defect(s, form_in, form_out)
+    assert d == oracle_defect(s, form_in, form_out)
+    assert_canonical(d)
+    grid = d.tolist()
+    assert all(grid[i][j] == -grid[j][i] for i in range(d.rows) for j in range(d.cols))
+
+
+@st.composite
+def skew_forms(draw):
+    """A standard or a random rational skew form of dim 0 to 6."""
+    dim = draw(st.sampled_from((0, 2, 4, 6)))
+    if draw(st.booleans()):
+        return standard_form(dim // 2)
+    return random_skew_form(dim, random.Random(draw(st.integers(0, 2**32))))
+
+
+class TestSymplecticDefect:
+    """The defect kernel computes the strict upper triangle only and mirrors
+    it; every result must still equal the full reference product."""
+
+    @given(skew_forms(), skew_forms(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rectangular_maps_between_forms_of_different_dims(self, form_in, form_out, data):
+        s = data.draw(rat_matrices(rows=form_out.dim, cols=form_in.dim))
+        assert_skew_defect(s, form_in, form_out)
+
+    @given(skew_forms(), skew_forms(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_maps_with_empty_rows_columns_and_cancellations(self, form_in, form_out, data):
+        grid, cols = data.draw(sparse_grids(rows=form_out.dim, cols=form_in.dim))
+        assert_skew_defect(from_grid(grid, cols), form_in, form_out)
+
+    @pytest.mark.parametrize(
+        "grid, n_in, n_out, expected",
+        [
+            # every product cancels: S^T J S = det(S) J = 0
+            ([[1, 1], [1, 1]], 1, 1, -J2),
+            ([[-2, "1/2"], [4, -1]], 1, 1, -J2),
+            # empty rows: the columns pick e_0 and e_2, which pair to zero
+            ([[1, 0], [0, 0], [0, 1], [0, 0]], 1, 2, -J2),
+            # empty columns: only e_0 and e_3 of the source are mapped
+            ([[1, 0, 0, 0], [0, 0, 0, 1]], 2, 1,
+             RatMatrix([[0, -1, 0, 1], [1, 0, 0, 0], [0, 0, 0, -1], [-1, 0, 1, 0]])),
+            ([[0, 0], [0, 0], [0, 0], [0, 0]], 1, 2, -J2),
+        ],
+    )
+    def test_hand_checked_sparse_maps(self, grid, n_in, n_out, expected):
+        s = RatMatrix(grid)
+        form_in, form_out = standard_form(n_in), standard_form(n_out)
+        assert symplectic_defect(s, form_in, form_out) == expected
+        assert_skew_defect(s, form_in, form_out)
