@@ -40,7 +40,6 @@ from .classical import (
     mirror_cloner,
     product_cloner,
     readout_solver,
-    shuffle_permutation,
     size_witness,
     standard_cloner,
     verify_cloning,

@@ -24,12 +24,11 @@ from typing import Sequence
 
 from .exact import (
     _ONE,
-    _ZERO,
     RatMatrix,
     RatVector,
     ShapeError,
     SkewForm,
-    _vec_add,
+    _combine,
     direct_sum,
     form_kernel,
     darboux_basis,
@@ -180,33 +179,13 @@ def basic_cloner() -> CloningProcess:
     )
 
 
-def shuffle_permutation(dims: tuple[int, int, int, int, int, int]) -> RatMatrix:
-    """Permutation taking (A1,B1,C1,A2,B2,C2) block layout to (A1,A2,B1,B2,C1,C2).
-
-    dims are the six block sizes in source order.  The result is orthogonal,
-    and symplectic for the correspondingly permuted block-diagonal forms.
-    """
-    if len(dims) != 6 or any(d < 0 for d in dims):
-        raise ValueError("need six nonnegative block sizes")
-    offsets = []
-    pos = 0
-    for d in dims:
-        offsets.append(pos)
-        pos += d
-    # target order: A1 A2 | B1 B2 | C1 C2  (blocks 0,3,1,4,2,5 of the source)
-    perm: list[int] = []
-    for b in (0, 3, 1, 4, 2, 5):
-        perm.extend(range(offsets[b], offsets[b] + dims[b]))
-    return RatMatrix.permutation(perm)
-
-
 def _assemble(factors: Sequence[CloningProcess]) -> CloningProcess:
     """Run processes side by side, with coordinates in object/copy/machine order.
 
-    Each factor's nonzero phi entries go to their global indices (all objects,
-    then all copies, then all machines, each in factor order); forms and
-    readouts are block diagonal.  Equal to conjugating the block-diagonal map
-    by ``shuffle_permutation`` one factor at a time, without the products.
+    The global coordinates are all objects, then all copies, then all
+    machines, each block in factor order; each factor's nonzero phi entries
+    go to the global indices of their row and column.  Forms and readouts
+    are block diagonal.
     """
     dm = sum(c.object_dim for c in factors)
     total = 2 * dm + sum(c.machine_dim for c in factors)
@@ -240,8 +219,9 @@ def product_cloner(c1: CloningProcess, c2: CloningProcess) -> CloningProcess:
     """Cloning process for the product phase space, machine = product of machines.
 
     Verifies both inputs, then runs them side by side through the shared
-    assembly: the result's phi is the block-diagonal map reindexed into
-    object/copy/machine order, i.e. conjugated by ``shuffle_permutation``.
+    assembly: the result's phi is the block-diagonal map with rows and
+    columns reindexed to (object 1, object 2, copy 1, copy 2, machine 1,
+    machine 2).
     """
     for i, c in enumerate((c1, c2)):
         rep = verify_cloning(c)
@@ -363,35 +343,29 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
 
     # image of the blank/ready offset: must be (0, 0, f(0))
     base = c.phi._apply(zero_vec(dm) + c.blank + c.ready)
-    for idx in range(2 * dm):
-        track(abs(base[idx]), "offset image leaks into the object/copy blocks")
-    base_zero = not any(base)
+    leak = tuple((j, x) for j, x in enumerate(base[: 2 * dm]) if x)
+    for _, x in leak:
+        track(abs(x), "offset image leaks into the object/copy blocks")
 
-    # phi(e_i, b, r) = phi column i + image of the offset, by linearity; the
-    # offset's machine part cancels in the inferred readout, phi[2m:, :m]
-    phi_cols = c.phi.T
-    stored_cols = c.readout.T
-    for i in range(dm):
-        nz = phi_cols._nz[i]
-        # a clean column is e_i in both copies, then the stored readout
-        # column shifted into the machine block
-        if (
-            base_zero
-            and nz[:2] == ((i, _ONE), (dm + i, _ONE))
-            and nz[2:] == tuple((2 * dm + j, x) for j, x in stored_cols._nz[i])
-        ):
+    # phi(e_i, b, r) = phi column i + image of the offset, by linearity, and
+    # must be e_i in both copies, then the stored readout column shifted into
+    # the machine block; the offset's machine part cancels in the inferred
+    # readout, phi[2m:, :m], so only its leak is added
+    stored_cols = c.readout.T._nz
+    for i, col in enumerate(c.phi.T._nz[:dm]):
+        got = _combine(col, leak)
+        want = ((i, _ONE), (dm + i, _ONE)) + tuple((2 * dm + j, x) for j, x in stored_cols[i])
+        if got == want:
             continue
-        e = tuple(_ONE if j == i else _ZERO for j in range(dm))
-        col = phi_cols.row(i)
-        out = _vec_add(col, base)
-        inferred = col[2 * dm :]
-        stored = stored_cols.row(i)
-        for idx in range(dm):
-            track(abs(out[idx] - e[idx]), f"first copy wrong on basis state {i}")
-        for idx in range(dm):
-            track(abs(out[dm + idx] - e[idx]), f"second copy wrong on basis state {i}")
-        for a, b in zip(inferred, stored):
-            track(abs(a - b), f"stored readout disagrees with the machine output on basis state {i}")
+        # ascending columns, so the first reason is that of the first block
+        for j, x in _combine(got, tuple((j, -x) for j, x in want)):
+            if j < dm:
+                why = f"first copy wrong on basis state {i}"
+            elif j < 2 * dm:
+                why = f"second copy wrong on basis state {i}"
+            else:
+                why = f"stored readout disagrees with the machine output on basis state {i}"
+            track(abs(x), why)
     inferred = RatMatrix._raw(
         tuple(tuple((j, x) for j, x in row if j < dm) for row in c.phi._nz[2 * dm :]), dm
     )

@@ -234,6 +234,11 @@ def _cmd_diagram_check(args) -> int:
         inst, diagram = diagram_from_process(process)
         report = check_cloning_diagram(inst, diagram)
     else:
+        # numpy's default_rng raises ValueError on a negative seed, and a
+        # negative count would silently sample nothing
+        for option in ("samples", "seed"):
+            if getattr(args, option) < 0:
+                raise CliError(f"--{option} must be nonnegative")
         import numpy as np
 
         inst, diagram = _load(args.input, _hilbert_diagram)

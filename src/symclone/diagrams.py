@@ -74,10 +74,7 @@ class DiagramInstance:
     produces the vectors the checker will quantify over.  ``exhaustive``
     records whether that sample decides the universally quantified diagram
     condition (true for the symplectic instance, where linearity reduces the
-    condition to basis states plus zero).  ``as_state`` coerces a
-    caller-supplied state to the type ``sample_states`` returns and passes
-    such a state through, so ``state_arrow`` and the readout need not
-    coerce it again.
+    condition to basis states plus zero).
     """
 
     name: str
@@ -88,7 +85,6 @@ class DiagramInstance:
     state_arrow: Callable[[Any, Any], Any]
     sample_states: Callable[..., list]
     exhaustive: bool
-    as_state: Callable[[Any], Any] = lambda x: x
 
 
 def symplectic_instance() -> DiagramInstance:
@@ -102,11 +98,7 @@ def symplectic_instance() -> DiagramInstance:
         return AffineMap(g.matrix @ h.matrix, _vec_add(g.matrix._apply(h.offset), g.offset))
 
     def tensor(g: AffineMap, h: AffineMap) -> AffineMap:
-        offset = g.offset + h.offset
-        if not (g.source_dim or h.source_dim):
-            # two states (arrows from the unit): the sum has no columns either
-            return AffineMap(RatMatrix.zeros(len(offset), 0), offset)
-        return AffineMap(RatMatrix.block_diag(g.matrix, h.matrix), offset)
+        return AffineMap(RatMatrix.block_diag(g.matrix, h.matrix), g.offset + h.offset)
 
     def equal(g: AffineMap, h: AffineMap) -> bool:
         return g.matrix == h.matrix and g.offset == h.offset
@@ -131,7 +123,6 @@ def symplectic_instance() -> DiagramInstance:
         state_arrow=state_arrow,
         sample_states=sample_states,
         exhaustive=True,
-        as_state=_exact_state,
     )
 
 
@@ -182,8 +173,8 @@ def check_cloning_diagram(
     For each psi, compares c o (psi x beta x rho) with psi x psi x f(psi)
     using the instance's arrow equality.  The report says whether the sample
     decides the universally quantified condition or is merely evidence.
-    Each state goes through ``instance.as_state`` once (a no-op on sampled
-    states); the report lists states as supplied.
+    The report lists states as supplied; the instance's ``state_arrow`` and
+    the diagram's readout coerce them.
     """
     if states is None:
         states = instance.sample_states(diagram.object_a)
@@ -193,11 +184,10 @@ def check_cloning_diagram(
     results = []
     first_failure = None
     for psi in states:
-        x = instance.as_state(psi)
-        psi_arrow = instance.state_arrow(diagram.object_a, x)
+        psi_arrow = instance.state_arrow(diagram.object_a, psi)
         prepared = instance.tensor(instance.tensor(psi_arrow, beta_arrow), rho_arrow)
         lhs = instance.compose(diagram.arrow_c, prepared)
-        f_arrow = instance.state_arrow(diagram.machine_b, diagram.readout(x))
+        f_arrow = instance.state_arrow(diagram.machine_b, diagram.readout(psi))
         rhs = instance.tensor(instance.tensor(psi_arrow, psi_arrow), f_arrow)
         ok = instance.equal(lhs, rhs)
         results.append((psi, ok))

@@ -300,14 +300,6 @@ class RatMatrix:
         return cls._raw(tuple(((i, _ONE),) for i in range(n)), n)
 
     @classmethod
-    def permutation(cls, perm: Sequence[int]) -> "RatMatrix":
-        """Matrix P with (P v)[i] = v[perm[i]]."""
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation")
-        return cls._raw(tuple(((j, _ONE),) for j in perm), n)
-
-    @classmethod
     def block_diag(cls, *blocks: "RatMatrix") -> "RatMatrix":
         rows = []
         c = 0

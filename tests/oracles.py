@@ -10,6 +10,9 @@ tests use it to check that constructed maps have determinant one.
 directly, so the reduction law of the generic checker can be tested against
 it.  ``conjugated_cloner`` is the Darboux-conjugated standard process, kept
 as a fixture whose phi is dense with entries hundreds of bits wide.
+``verify_cloning`` checks a process entry by entry on dense grids, and
+``shuffle_permutation`` gives the block shuffle that the product
+constructors' phi is conjugated by.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
-from symclone import CloningProcess, RatMatrix, SkewForm, standard_cloner
+from symclone import CloningProcess, RatMatrix, SkewForm, VerificationReport, standard_cloner
 from symclone.diagrams import DiagramInstance, DiagramReport
 
 _ZERO = Fraction(0)
@@ -153,6 +156,101 @@ def det(m: RatMatrix) -> Fraction:
                 f = rows[i][c] * inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return d
+
+
+def permutation(perm: Sequence[int]) -> RatMatrix:
+    """Matrix P with (P v)[i] = v[perm[i]]."""
+    n = len(perm)
+    assert sorted(perm) == list(range(n)), "not a permutation"
+    return RatMatrix([[Fraction(k == j) for k in range(n)] for j in perm])
+
+
+def shuffle_permutation(dims: tuple[int, int, int, int, int, int]) -> RatMatrix:
+    """Permutation taking (A1,B1,C1,A2,B2,C2) block layout to (A1,A2,B1,B2,C1,C2).
+
+    dims are the six block sizes in source order.  The result is orthogonal,
+    and symplectic for the correspondingly permuted block-diagonal forms.
+    """
+    assert len(dims) == 6 and all(d >= 0 for d in dims), "need six nonnegative block sizes"
+    offsets = []
+    pos = 0
+    for d in dims:
+        offsets.append(pos)
+        pos += d
+    # target order: A1 A2 | B1 B2 | C1 C2  (blocks 0,3,1,4,2,5 of the source)
+    perm: list[int] = []
+    for b in (0, 3, 1, 4, 2, 5):
+        perm.extend(range(offsets[b], offsets[b] + dims[b]))
+    return permutation(perm)
+
+
+def verify_cloning(c: CloningProcess) -> VerificationReport:
+    """The verifier's report, every check written out over dense grids.
+
+    The defects are products by ``matmul``; the copying identity is checked
+    entry by entry on the image of the zero state and of each object basis
+    state, in the order that fixes the reported reason: the offset leak,
+    then per basis state the first copy, the second copy and the stored
+    readout, then the readout pullback.
+    """
+    dm = c.object_dim
+    xi = c.total_form().matrix
+    phi = c.phi.tolist()
+    readout = c.readout.tolist()
+
+    def pullback_defect(s: RatMatrix, form_in: RatMatrix, form_out: RatMatrix) -> list:
+        # s^T . form_out . s - form_in, entry by entry
+        grid, pushed, fin = s.tolist(), matmul(form_out, s).tolist(), form_in.tolist()
+        return [
+            [sum((grid[k][i] * pushed[k][j] for k in range(s.rows)), -fin[i][j]) for j in range(s.cols)]
+            for i in range(s.cols)
+        ]
+
+    def max_abs(grid) -> Fraction:
+        return max((abs(x) for row in grid for x in row), default=_ZERO)
+
+    defect = pullback_defect(c.phi, xi, xi)
+    defect_norm = max_abs(defect)
+    first_defect = next(((i, j, x) for i, row in enumerate(defect) for j, x in enumerate(row) if x), None)
+
+    residual = _ZERO
+    reason = ""
+
+    def track(value: Fraction, why: str):
+        nonlocal residual, reason
+        residual = max(residual, value)
+        if value and not reason:
+            reason = why
+
+    offset = [_ZERO] * dm + list(c.blank) + list(c.ready)
+    base = [sum((a * b for a, b in zip(row, offset)), _ZERO) for row in phi]
+    for idx in range(2 * dm):
+        track(abs(base[idx]), "offset image leaks into the object/copy blocks")
+    for i in range(dm):
+        e = [Fraction(j == i) for j in range(dm)]
+        col = [row[i] for row in phi]
+        out = [a + b for a, b in zip(col, base)]
+        for idx in range(dm):
+            track(abs(out[idx] - e[idx]), f"first copy wrong on basis state {i}")
+        for idx in range(dm):
+            track(abs(out[dm + idx] - e[idx]), f"second copy wrong on basis state {i}")
+        for a, row in zip(col[2 * dm :], readout):
+            track(abs(a - row[i]), f"stored readout disagrees with the machine output on basis state {i}")
+    pullback = pullback_defect(c.readout, -c.object_form.matrix, c.machine_form.matrix)
+    track(max_abs(pullback), "readout does not pull the machine form back to -omega")
+
+    if defect_norm and not reason:
+        reason = "map is not symplectic for the product form"
+    verdict = "pass" if not (defect_norm or residual) else "fail"
+    inferred = [row[:dm] for row in phi[2 * dm :]]
+    return VerificationReport(
+        symplectic_defect_norm=defect_norm,
+        cloning_residual=residual,
+        inferred_readout=RatMatrix(inferred) if inferred else RatMatrix.zeros(0, dm),
+        verdict=verdict,
+        reason=reason if verdict == "fail" else "",
+        first_defect_entry=first_defect,
+    )
 
 
 def check_traditional_diagram(

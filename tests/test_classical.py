@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symclone
@@ -26,7 +26,6 @@ from symclone import (
     mirror_cloner,
     product_cloner,
     readout_solver,
-    shuffle_permutation,
     size_witness,
     standard_cloner,
     standard_form,
@@ -35,6 +34,8 @@ from symclone import (
     zero_vec,
 )
 from conftest import random_skew_form
+import oracles
+from oracles import shuffle_permutation
 
 EXPECTED_PHI = RatMatrix(
     [
@@ -355,6 +356,87 @@ class TestVerifyFailures:
         assert rep.cloning_residual == 0
         assert rep.inferred_readout == f
         assert rep.reason == "map is not symplectic for the product form"
+
+
+# one process of each construction, to be perturbed
+_VERIFY_BASES = {
+    "basic": basic_cloner(),
+    "standard": standard_cloner(2),
+    "general": general_cloner(random_skew_form(4, random.Random(3))),
+    "mirror": mirror_cloner(random_skew_form(4, random.Random(5))),
+}
+_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _with(c, phi=None, readout=None, blank=None, ready=None):
+    return CloningProcess(
+        c.object_form,
+        c.blank if blank is None else vec(blank),
+        c.machine_form,
+        c.ready if ready is None else vec(ready),
+        c.phi if phi is None else RatMatrix(phi),
+        c.readout if readout is None else RatMatrix(readout),
+    )
+
+
+def _basic_phi_with(i, j, x):
+    rows = basic_cloner().phi.tolist()
+    rows[i][j] = x
+    return rows
+
+
+@st.composite
+def _perturbed_processes(draw):
+    """A constructed process with up to four entries of phi, the readout,
+    the blank or the ready state overwritten."""
+    c = _VERIFY_BASES[draw(st.sampled_from(sorted(_VERIFY_BASES)))]
+    parts = {"phi": c.phi.tolist(), "readout": c.readout.tolist(),
+             "blank": [list(c.blank)], "ready": [list(c.ready)]}
+    edits = st.tuples(st.sampled_from(sorted(parts)), st.integers(0, 99), st.integers(0, 99), _ENTRIES)
+    for part, i, j, x in draw(st.lists(edits, max_size=4)):
+        grid = parts[part]
+        row = grid[i % len(grid)]
+        row[j % len(row)] = x
+    return _with(c, parts["phi"], parts["readout"], parts["blank"][0], parts["ready"][0])
+
+
+class TestVerifyAgainstReference:
+    @given(_perturbed_processes())
+    @example(_with(_VERIFY_BASES["general"], blank=[1, 0, "1/2", 0], ready=[0, -1, 0, 0]))
+    @example(_with(_VERIFY_BASES["standard"], ready=[0, 0, "2/3", 0]))
+    @settings(max_examples=200, deadline=None)
+    def test_report_equals_the_dense_reference(self, c):
+        # every field: verdict, reason, both residuals, the first defect
+        # entry and the inferred readout
+        assert verify_cloning(c) == oracles.verify_cloning(c)
+
+    @pytest.mark.parametrize(
+        "process, reason, residual",
+        [
+            # phi(0, b, 0) is phi's column 2, (1, 0, -1, 0, 0, 0)
+            (_with(basic_cloner(), blank=[1, 0]),
+             "offset image leaks into the object/copy blocks", 1),
+            # the next three break the entry on an edge of its block
+            (_with(basic_cloner(), phi=_basic_phi_with(1, 1, 3)),
+             "first copy wrong on basis state 1", 2),
+            (_with(basic_cloner(), phi=_basic_phi_with(2, 0, 0)),
+             "second copy wrong on basis state 0", 1),
+            (_with(basic_cloner(), readout=[[2, 0], [0, -1]]),
+             "stored readout disagrees with the machine output on basis state 0", 1),
+            # copies exactly with a zero readout, so only the pullback fails
+            (_with(basic_cloner(), readout=[[0, 0], [0, 0]],
+                   phi=[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+                        [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]),
+             "readout does not pull the machine form back to -omega", 1),
+        ],
+        ids=["offset", "first copy", "second copy", "stored readout", "pullback"],
+    )
+    def test_each_reason(self, process, reason, residual):
+        rep = verify_cloning(process)
+        assert rep.verdict == "fail"
+        assert rep.reason == reason
+        assert rep.cloning_residual == residual
+        assert rep == oracles.verify_cloning(process)
 
 
 class TestReadoutSolver:

@@ -291,6 +291,24 @@ class TestDiagramCheck:
         assert "must be a JSON integer" in err
 
 
+    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--samples", "-3")])
+    def test_negative_sampling_option_is_a_usage_error(self, tmp_path, capsys, option, value):
+        # numpy rejected the seed with a traceback and exit 1; a negative
+        # count sampled no random states and exited 0
+        payload = {
+            "unitary": complex_matrix_to_json(basis_cloner(2)),
+            "beta": [[1.0, 0.0], [0.0, 0.0]],
+        }
+        path = tmp_path / "hilb.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_capture(
+            capsys, "diagram-check", "--instance", "hilb", "--input", str(path), option, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {option} must be nonnegative\n"
+
+
 class TestContract:
     def test_malformed_json_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -15,7 +15,7 @@ EXPORTS = (
     "diagram_from_process", "diagrams", "direct_sum", "exact", "form_kernel",
     "general_cloner", "hilbert_cloning_diagram", "hilbert_instance", "is_isometry",
     "is_symplectic_map", "kron", "mirror_cloner", "product_cloner", "quantum",
-    "readout_solver", "refute_cloning", "shuffle_permutation", "size_witness",
+    "readout_solver", "refute_cloning", "size_witness",
     "standard_cloner", "standard_form", "standard_refutation", "symplectic_defect",
     "symplectic_instance", "vec", "verify_cloning", "zero_vec",
 )
