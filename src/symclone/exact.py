@@ -12,16 +12,23 @@ the stored nonzeros of its operands as integer rows, a common denominator
 per row with the integer numerators of the row's entries, and a result entry
 becomes a ``Fraction`` only once, at the end.  The symplectic defect
 S^T . form_out . S - form_in of any map between skew forms is itself skew,
-so its kernel computes the strict upper triangle alone and mirrors it.
-Floating point only appears in the numerical probe and the quantum module,
+so its kernel computes the strict upper triangle alone and mirrors it, and
+it scales S by blocks instead of by rows: form_out splits into its
+contiguous diagonal blocks, and the rows of S in each block are scaled by
+column or each by its own lcm, whichever puts fewer bits on them, so the
+integers stay near the entries' own heights.  Column-scaled rows share one
+scale per column and one denominator; row-scaled rows share another with
+form_in.  Floating point only appears in the numerical probe and the quantum module,
 never here.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+import re
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -34,9 +41,17 @@ class DegenerateFormError(ValueError):
     """A bilinear form that must be nondegenerate has a nontrivial kernel."""
 
 
+# a canonical rational "p" or "p/q": what str(Fraction) writes, and all
+# that the constructor needs to parse it
+_CANONICAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         f = x
+    elif isinstance(x, str) and (m := _CANONICAL.fullmatch(x)):
+        p, q = m.groups()
+        f = Fraction(int(p), int(q)) if q else Fraction(int(p))
     elif isinstance(x, (int, str)) and not isinstance(x, bool):
         f = Fraction(x)
     else:
@@ -139,10 +154,11 @@ def _combine(a: SparseRow, b: SparseRow) -> SparseRow:
 
 
 def _int_row(row: SparseRow) -> tuple[int, tuple[tuple[int, int], ...]]:
-    den = math.lcm(*[x.denominator for _, x in row])
+    ratios = [x.as_integer_ratio() for _, x in row]
+    den = math.lcm(*[d for _, d in ratios])
     if den == 1:
-        return 1, tuple((j, x.numerator) for j, x in row)
-    return den, tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+        return 1, tuple((j, p) for (j, _), (p, _) in zip(row, ratios))
+    return den, tuple((j, p * (den // d)) for (j, _), (p, d) in zip(row, ratios))
 
 
 def _int_rows(m: "RatMatrix") -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -154,27 +170,30 @@ def _fraction_row(den: int, nums: Iterable[tuple[int, int]]) -> SparseRow:
     return tuple((j, Fraction(v, den)) for j, v in nums if v)
 
 
-def _int_sum(den: int, terms, lo: int, cols: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Integer row of (sum of a * b) / den over the terms ``(a, b)``, with b
-    an integer row whose entries all lie in columns lo to cols - 1.
-
-    The denominator is den times the lcm of the nonempty b rows'.  One term
-    is that row scaled; several accumulate in a dense row of numerators, of
-    which only columns lo onward are read back.
-    """
-    terms = [(a, b) for a, b in terms if b[1]]
+def _scatter(terms, lo: int, cols: int) -> tuple[tuple[int, int], ...]:
+    """The stored integer row of the sum of a * b over the terms ``(a, b)``,
+    with b a stored integer row whose entries all lie in columns lo to
+    cols - 1.  One term is b scaled; several accumulate in a dense row of
+    which only columns lo onward are read back."""
+    terms = [t for t in terms if t[1]]
     if not terms:
-        return den, ()
+        return ()
     if len(terms) == 1:
-        [(a, (db, bnz))] = terms
-        return den * db, tuple((j, a * b) for j, b in bnz)
-    lcm = math.lcm(*[db for _, (db, _) in terms])
+        [(a, b)] = terms
+        return tuple((j, a * v) for j, v in b)
     acc = [0] * cols
-    for a, (db, bnz) in terms:
-        c = a * (lcm // db)
-        for j, b in bnz:
-            acc[j] += c * b
-    return den * lcm, tuple((j, v) for j, v in enumerate(acc[lo:], lo) if v)
+    for a, b in terms:
+        for j, v in b:
+            acc[j] += a * v
+    return tuple((j, acc[j]) for j in compress(range(lo, cols), acc[lo:]))
+
+
+def _int_sum(den: int, terms, cols: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Integer row of (sum of a * b) / den over the terms ``(a, b)``, with b
+    an integer row; the denominator is den times the lcm of the b rows'."""
+    terms = [(a, b) for a, b in terms if b[1]]
+    lcm = math.lcm(*[db for _, (db, _) in terms])
+    return den * lcm, _scatter([(a * (lcm // db), b) for a, (db, b) in terms], 0, cols)
 
 
 def _int_product(arows, brows, cols: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -184,13 +203,7 @@ def _int_product(arows, brows, cols: int) -> list[tuple[int, tuple[tuple[int, in
     denominator of an output row is the A row's times the lcm of the B rows
     it touches.
     """
-    return [_int_sum(den, [(a, brows[k]) for k, a in anz], 0, cols) for den, anz in arows]
-
-
-def _past(row, i: int):
-    """The integer row with only its entries past column i."""
-    den, nz = row
-    return den, nz[bisect_right(nz, i, key=itemgetter(0)) :]
+    return [_int_sum(den, [(a, brows[k]) for k, a in anz], cols) for den, anz in arows]
 
 
 def _dense(rows, cols: int) -> list[list[int]]:
@@ -452,6 +465,21 @@ class RatMatrix:
         return f"RatMatrix({[[str(x) for x in row] for row in self.tolist()]})"
 
 
+def _is_skew(m: RatMatrix) -> bool:
+    """Whether the square matrix m equals -m^T: each stored column, negated,
+    is the stored row of the same index, compared by column, numerator and
+    denominator, so no negated entry is built."""
+    for row, col in zip(m._nz, _transpose(m._nz, m.cols)):
+        if len(row) != len(col):
+            return False
+        for (j, x), (k, y) in zip(row, col):
+            p, q = x.as_integer_ratio()
+            r, s = y.as_integer_ratio()
+            if j != k or p != -r or q != s:
+                return False
+    return True
+
+
 class SkewForm:
     """A nondegenerate skew-symmetric rational form on an even-dimensional space.
 
@@ -466,7 +494,7 @@ class SkewForm:
             raise ShapeError("a bilinear form needs a square matrix")
         if matrix.rows % 2 != 0:
             raise DegenerateFormError("skew forms on odd-dimensional spaces are degenerate")
-        if matrix.T != -matrix:
+        if not _is_skew(matrix):
             raise ValueError("matrix is not skew-symmetric")
         if matrix.rows and matrix.rank() != matrix.rows:
             raise DegenerateFormError("form matrix is singular")
@@ -523,32 +551,130 @@ def direct_sum(a: SkewForm, b: SkewForm) -> SkewForm:
     return SkewForm._trusted(RatMatrix.block_diag(a.matrix, b.matrix))
 
 
+def _form_blocks(nz: Sequence[SparseRow]) -> list[range]:
+    """The contiguous diagonal blocks of a skew matrix, as row ranges.
+
+    A block ends at row k when no stored entry of rows <= k lies past
+    column k.  Coupling that is not contiguous merges blocks, down to a
+    single block, which stays exact.
+    """
+    blocks = []
+    lo = reach = 0
+    for k, row in enumerate(nz):
+        if row and row[-1][0] > reach:
+            reach = row[-1][0]
+        if reach <= k:
+            blocks.append(range(lo, k + 1))
+            lo = k + 1
+    return blocks
+
+
+def _block_scales(rows, block: range) -> tuple[dict[int, int], list[int] | None]:
+    """Denominator scales for the rows of S in one block of form_out.
+
+    Returns the block's column scales (the lcm of each column's
+    denominators, for columns whose lcm is not 1) and, when scaling each row
+    by the lcm of its own denominators puts fewer bits on the block's
+    entries than the column scales do, those row scales; otherwise None.
+    """
+    cs: dict[int, int] = {}
+    for k in block:
+        for j, (_, d) in rows[k]:
+            if d > 1 and (c := cs.get(j, 1)) % d:
+                cs[j] = math.lcm(c, d)
+    if not cs:
+        return cs, None
+    bits = sum(cs.get(j, 1).bit_length() for k in block for j, _ in rows[k])
+    rs = []
+    for k in block:
+        r = math.lcm(*[d for _, (_, d) in rows[k]])
+        bits -= len(rows[k]) * r.bit_length()
+        if bits <= 0:
+            return cs, None
+        rs.append(r)
+    return cs, rs
+
+
 def symplectic_defect(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> RatMatrix:
     """Exact residual S^T . form_out . S - form_in; zero iff S is symplectic.
 
-    Both forms are skew, so the residual is skew for any S: its diagonal is
-    zero and its lower triangle is the negated upper one.  Only the strict
+    The residual of a map between skew forms is skew, so only its strict
     upper triangle U is computed, and the result is U - U^T.  The forms must
     therefore be skew, which ``SkewForm(...)`` and ``SkewForm.from_json``
     check; only the unchecked ``SkewForm._trusted`` can break it.
+
+    The kernel runs on integers scaled by blocks.  form_out splits into its
+    contiguous diagonal blocks W_b, and S^T . form_out . S is the sum of
+    S_b^T . W_b . S_b over them, S_b being the rows of S in block b.  Each
+    block's rows are scaled to integers either by column (per column, the
+    lcm of the block's denominators there) or each by its own lcm,
+    whichever puts fewer bits on the block's entries: a dense form block
+    whose columns each carry one scale takes column scales, a 2 x 2 Darboux
+    pair whose rows each carry one takes row scales.  The column-scaled
+    rows share one scale c_j per column and one denominator D for their
+    form blocks, so their part of entry (i, j) is an integer over
+    D c_i c_j.  The row-scaled rows share one denominator L with form_in.
+    Entry (i, j) of U is then a single integer sum over D c_i c_j L, which
+    becomes a ``Fraction`` only when it is not zero.
     """
     if S.cols != form_in.dim or S.rows != form_out.dim:
         raise ShapeError(
             f"map {S.shape} does not match forms of dim {form_in.dim} -> {form_out.dim}"
         )
-    # in integers: pushed = form_out . S in full; row i of U sums the pushed
-    # rows' entries past column i, weighted by row i of S^T (over its
-    # denominator den), and form_in's row past column i, weighted by -den
-    pushed = _int_product(_int_rows(form_out.matrix), _int_rows(S), S.cols)
-    upper = []
-    for i, ((den, snz), w) in enumerate(zip(_int_rows(S.T), _int_rows(form_in.matrix))):
-        terms = [(a, _past(pushed[k], i)) for k, a in snz]
-        terms.append((-den, _past(w, i)))
-        upper.append(_fraction_row(*_int_sum(den, terms, i + 1, S.cols)))
-    lower = _transpose(upper, S.cols)
-    return RatMatrix._raw(
-        tuple(tuple((j, -x) for j, x in low) + up for low, up in zip(lower, upper)), S.cols
+    n = S.cols
+    rows = [[(j, x.as_integer_ratio()) for j, x in row] for row in S._nz]
+    scale = [1] * n  # c_j
+    rscale = [0] * S.rows  # each row-scaled row's scale, 0 for the others
+    for block in _form_blocks(form_out.matrix._nz):
+        cs, rs = _block_scales(rows, block)
+        if rs:
+            rscale[block.start : block.stop] = rs
+            continue
+        for j, c in cs.items():
+            if scale[j] % c:
+                scale[j] = math.lcm(scale[j], c)
+    wrows = _int_rows(form_out.matrix)
+    frows = wrows if form_in.matrix is form_out.matrix else _int_rows(form_in.matrix)
+    dcol = math.lcm(*[q for (q, _), r in zip(wrows, rscale) if not r])  # D
+    drow = math.lcm(  # L
+        *[q for q, _ in frows],
+        *[q * r * rscale[l] for (q, w), r in zip(wrows, rscale) if r for l, _ in w],
     )
+    ints = [
+        tuple((j, p * ((r or scale[j]) // d)) for j, (p, d) in row) for row, r in zip(rows, rscale)
+    ]
+    # row k of form_out . ints: over D for a column-scaled row; over L and
+    # with entry j times c_j for a row-scaled one
+    pushed = []
+    for (q, w), r in zip(wrows, rscale):
+        if r:
+            row = _scatter([(v * (drow // (q * r * rscale[l])), ints[l]) for l, v in w], 0, n)
+            pushed.append(tuple((j, v * scale[j]) for j, v in row))
+        else:
+            pushed.append(_scatter([(v * (dcol // q), ints[l]) for l, v in w], 0, n))
+    # row i of U times D c_i c_j L: the pushed rows past column i weighted by
+    # column i of ints (times L for a column-scaled row, D c_i for a
+    # row-scaled one), minus form_in's row past column i
+    upper = []
+    for i, (col, (q, f)) in enumerate(zip(_transpose(ints, n), frows)):
+        e = dcol * scale[i]
+        past = (i + 1,)
+        terms = [(a * (e if rscale[k] else drow), _from(pushed[k], past)) for k, a in col]
+        f = _from(f, past)
+        if f:
+            terms.append((-e * (drow // q), tuple((j, v * scale[j]) for j, v in f)))
+        upper.append(
+            tuple((j, Fraction(v, e * scale[j] * drow)) for j, v in _scatter(terms, i + 1, n))
+        )
+    lower = _transpose(upper, n)
+    return RatMatrix._raw(
+        tuple(tuple((j, -x) for j, x in low) + up for low, up in zip(lower, upper)), n
+    )
+
+
+def _from(row, key: tuple[int]):
+    """A stored row's entries from column key[0] on."""
+    return row[bisect_left(row, key) :]
 
 
 def is_symplectic_map(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> bool:

@@ -1,7 +1,19 @@
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from symclone import RatMatrix, SkewForm
+
+# CI runs tier-1 with --hypothesis-profile=ci: the exact-kernel property
+# tests then draw kernel_examples(n) examples, four times their local count.
+settings.register_profile("ci", max_examples=400)
+
+
+def kernel_examples(n: int) -> int:
+    """n examples under the default profile, scaled by the loaded profile's
+    max_examples (100 by default)."""
+    return n * settings.default.max_examples // 100
 
 
 def random_skew_form(dim: int, rng: random.Random, max_num: int = 5, max_den: int = 3) -> SkewForm:

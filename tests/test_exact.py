@@ -25,7 +25,8 @@ from symclone import (
     vec,
     verify_cloning,
 )
-from conftest import random_skew_form
+from symclone.exact import _block_scales, _form_blocks, _frac, _is_skew
+from conftest import kernel_examples, random_skew_form
 import oracles
 
 J2 = RatMatrix([[0, 1], [-1, 0]])
@@ -300,14 +301,14 @@ class TestIntegerKernels:
     """The integer kernels return the same matrices as the Fraction reference."""
 
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=kernel_examples(150), deadline=None)
     def test_matmul_matches_the_reference(self, data):
         a = data.draw(rat_matrices())
         b = data.draw(rat_matrices(rows=a.cols))
         assert a @ b == oracles.matmul(a, b)
 
     @given(rat_matrices())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=kernel_examples(150), deadline=None)
     def test_rref_and_rank_match_the_reference(self, m):
         red, pivots = m.rref()
         assert (red, pivots) == oracles.rref(m)
@@ -316,7 +317,7 @@ class TestIntegerKernels:
     @given(st.integers(0, 5).flatmap(lambda n: rat_matrices(rows=n, cols=n)))
     @example(oracles.permutation([1, 0, 2]))  # pivoting needs a row swap
     @example(RatMatrix([[0, "1/2", 0], [0, 0, -3], ["5/7", 1, 0]]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=kernel_examples(150), deadline=None)
     def test_inverse_matches_the_reference(self, m):
         n = m.rows
         # the inverse is the right half of rref([m | I])
@@ -329,7 +330,7 @@ class TestIntegerKernels:
             assert m.inverse() == RatMatrix([red.row(i)[n:] for i in range(n)])
 
     @given(st.integers(0, 2**32), st.sampled_from((2, 4, 6)))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=kernel_examples(40), deadline=None)
     def test_symplectic_defect_matches_the_reference(self, seed, dim):
         rng = random.Random(seed)
         form_in, form_out = random_skew_form(dim, rng), random_skew_form(dim, rng)
@@ -575,13 +576,13 @@ class TestSymplecticDefect:
     it; every result must still equal the full reference product."""
 
     @given(skew_forms(), skew_forms(), st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=kernel_examples(100), deadline=None)
     def test_rectangular_maps_between_forms_of_different_dims(self, form_in, form_out, data):
         s = data.draw(rat_matrices(rows=form_out.dim, cols=form_in.dim))
         assert_skew_defect(s, form_in, form_out)
 
     @given(skew_forms(), skew_forms(), st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=kernel_examples(100), deadline=None)
     def test_sparse_maps_with_empty_rows_columns_and_cancellations(self, form_in, form_out, data):
         grid, cols = data.draw(sparse_grids(rows=form_out.dim, cols=form_in.dim))
         assert_skew_defect(from_grid(grid, cols), form_in, form_out)
@@ -605,3 +606,178 @@ class TestSymplecticDefect:
         form_in, form_out = standard_form(n_in), standard_form(n_out)
         assert symplectic_defect(s, form_in, form_out) == expected
         assert_skew_defect(s, form_in, form_out)
+
+
+def _block_kinds(s: RatMatrix, form_out: SkewForm) -> list[str]:
+    """How the defect kernel scales each block of form_out: "row" or "col"."""
+    rows = [[(j, x.as_integer_ratio()) for j, x in row] for row in s._nz]
+    return ["row" if _block_scales(rows, b)[1] else "col" for b in _form_blocks(form_out.matrix._nz)]
+
+
+def _map_rows(rng: random.Random, rows: int, cols: int, styles) -> RatMatrix:
+    """Rows of a random map: a "row" row puts one denominator on all its
+    entries, a "col" row gives each column its own, shared with every "col"
+    row, so that the block kernel meets both scalings."""
+    col_dens = [rng.randint(1, 10**6) for _ in range(cols)]
+    grid = []
+    for i in range(rows):
+        den = rng.randint(1, 10**6)
+        grid.append([
+            Fraction(rng.randint(-9, 9), den if styles[i % len(styles)] == "row" else col_dens[j])
+            if rng.random() < 0.7 else 0
+            for j in range(cols)
+        ])
+    return RatMatrix(grid) if rows else RatMatrix.zeros(0, cols)
+
+
+@st.composite
+def block_sums(draw):
+    """A form_out that is a direct sum of random rational forms and standard
+    blocks, with a map into it whose rows favour row or column scales."""
+    form_out = standard_form(0)
+    for part in draw(st.lists(st.sampled_from((0, 2, 4)), min_size=1, max_size=5)):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        form_out = direct_sum(form_out, random_skew_form(part, rng) if part else standard_form(1))
+    form_in = draw(skew_forms())
+    styles = draw(st.lists(st.sampled_from(("row", "col")), min_size=1, max_size=4))
+    s = _map_rows(random.Random(draw(st.integers(0, 2**32))), form_out.dim, form_in.dim, styles)
+    return s, form_in, form_out
+
+
+class TestBlockKernel:
+    """The defect kernel splits form_out into its diagonal blocks and scales
+    each by column or by row; every result must equal the reference."""
+
+    @given(block_sums())
+    @settings(max_examples=kernel_examples(100), deadline=None)
+    def test_direct_sums_of_random_and_standard_blocks(self, case):
+        assert_skew_defect(*case)
+
+    def test_a_direct_sum_takes_both_scalings(self):
+        rng = random.Random(7)
+        form_out = direct_sum(
+            direct_sum(random_skew_form(4, rng), standard_form(2)), random_skew_form(4, rng)
+        )
+        s = _map_rows(rng, form_out.dim, 6, ["col"] * 4 + ["row"] * 4)
+        assert _block_kinds(s, form_out) == ["col", "row", "row", "col"]
+        assert_skew_defect(s, random_skew_form(6, rng), form_out)
+
+    @pytest.mark.parametrize("make", [general_cloner, mirror_cloner])
+    @given(
+        dim=st.sampled_from((2, 4, 6, 8, 10, 12)),
+        seed=st.integers(0, 2**32),
+        edits=st.lists(
+            st.tuples(st.integers(0, 99), st.integers(0, 99), st.fractions(-3, 3, max_denominator=5)),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=kernel_examples(10), deadline=None)
+    def test_perturbed_processes(self, make, dim, seed, edits):
+        c = make(random_skew_form(dim, random.Random(seed)))
+        rows = c.phi.tolist()
+        for i, j, x in edits:
+            rows[i % len(rows)][j % len(rows)] = x
+        perturbed = replace(c, phi=RatMatrix(rows))
+        xi = c.total_form()
+        assert_skew_defect(perturbed.phi, xi, xi)
+        assert verify_cloning(perturbed) == oracles.verify_cloning(perturbed)
+
+    def test_general_phi_takes_column_scales_on_omega_and_row_scales_on_pairs(self):
+        c = general_cloner(random_skew_form(16, random.Random(16)))
+        kinds = _block_kinds(c.phi, c.total_form())
+        assert kinds[:2] == ["col", "col"]
+        assert kinds[2:].count("row") >= 4
+
+    def test_permuted_standard_form_merges_into_one_block(self):
+        # pairs (0, 3), (1, 4), (2, 5): the coupling is not contiguous
+        p = oracles.permutation([0, 2, 4, 1, 3, 5])
+        form_out = SkewForm(oracles.matmul(oracles.matmul(p.T, standard_form(3).matrix), p))
+        assert _form_blocks(form_out.matrix._nz) == [range(6)]
+        rng = random.Random(11)
+        for styles in (["row"], ["col"], ["row", "col"]):
+            assert_skew_defect(_map_rows(rng, 6, 4, styles), random_skew_form(4, rng), form_out)
+
+    def test_single_dense_block(self):
+        rng = random.Random(13)
+        form_out = random_skew_form(8, rng)
+        assert _form_blocks(form_out.matrix._nz) == [range(8)]
+        for styles in (["row"], ["col"]):
+            s = _map_rows(rng, 8, 6, styles)
+            assert_skew_defect(s, random_skew_form(6, rng), form_out)
+            assert_skew_defect(s, standard_form(3), form_out)
+
+    @pytest.mark.parametrize("n_in, n_out", [(0, 0), (0, 1), (1, 0)])
+    def test_zero_dimensional_forms(self, n_in, n_out):
+        s = RatMatrix.zeros(2 * n_out, 2 * n_in)
+        assert_skew_defect(s, standard_form(n_in), standard_form(n_out))
+        assert symplectic_defect(s, standard_form(n_in), standard_form(n_out)) == -standard_form(n_in).matrix
+
+
+class TestGeneralProcessAtScale:
+    def test_random_dim_48_verifies(self):
+        report = verify_cloning(general_cloner(random_skew_form(48, random.Random(48))))
+        assert report.passed
+        assert report.first_defect_entry is None
+
+
+# Spellings of rationals, canonical or not: signs, leading zeros, underscores,
+# non-ASCII digits, decimals, exponents, whitespace, zero denominators.
+_DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=25),
+    st.sampled_from(["0", "00", "007", "1_000", "_1", "1__0", "٣", "５", "1٣"]),
+)
+_NUMBER = st.tuples(
+    st.sampled_from(["", "", "-", "+", "--", "- "]), _DIGITS, st.sampled_from(["", "", ".", ".5", "e3", "E-2"])
+).map("".join)
+_SPELLINGS = st.tuples(
+    st.sampled_from(["", "", " ", "\t"]),
+    _NUMBER,
+    st.one_of(st.just(""), st.tuples(st.sampled_from(["/", "/", " /", "//"]), _NUMBER).map("".join)),
+    st.sampled_from(["", "", "\n", " "]),
+).map("".join)
+
+
+class TestParsing:
+    @given(_SPELLINGS)
+    @example("1/0")
+    @example("-0/7")
+    @example("12/18")
+    @example("-3")
+    @example("1" * 5000)
+    @settings(max_examples=kernel_examples(300), deadline=None)
+    def test_string_entries_parse_as_fraction_does(self, text):
+        try:
+            want = Fraction(text)
+        except Exception as e:  # noqa: BLE001 - the same type must be raised
+            with pytest.raises(Exception) as got:
+                _frac(text)
+            assert type(got.value) is type(e)
+        else:
+            assert _frac(text) == want
+
+    @given(sparse_grids(rows=4, cols=4), st.data())
+    @settings(max_examples=kernel_examples(150), deadline=None)
+    def test_skew_check_agrees_with_the_transpose(self, case, data):
+        grid, _ = case
+        m = RatMatrix(grid)
+        # make it skew, then perhaps break one entry
+        skew = [[m[i, j] - m[j, i] for j in range(4)] for i in range(4)]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+            skew[i][j] += data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]))
+        m = RatMatrix(skew)
+        assert _is_skew(m) == (m.T == -m)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[0, "1/2"], ["-1/3", 0]],  # denominators differ
+            [[0, 1], [1, 0]],  # sign
+            [[1, 1], [-1, 0]],  # diagonal
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],  # a missing entry
+            [[0, 1, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1], [0, 0, -1, 0]],  # a moved entry
+        ],
+    )
+    def test_non_skew_matrices_are_rejected_with_the_same_message(self, grid):
+        with pytest.raises(ValueError, match="^matrix is not skew-symmetric$"):
+            SkewForm(RatMatrix(grid))
