@@ -12,13 +12,11 @@ the stored nonzeros of its operands as integer rows, a common denominator
 per row with the integer numerators of the row's entries, and a result entry
 becomes a ``Fraction`` only once, at the end.  The symplectic defect
 S^T . form_out . S - form_in of any map between skew forms is itself skew,
-so its kernel computes the strict upper triangle alone and mirrors it, and
-it scales S by blocks instead of by rows: form_out splits into its
-contiguous diagonal blocks, and the rows of S in each block are scaled by
-column or each by its own lcm, whichever puts fewer bits on them, so the
-integers stay near the entries' own heights.  Column-scaled rows share one
-scale per column and one denominator; row-scaled rows share another with
-form_in.  Floating point only appears in the numerical probe and the quantum module,
+so its kernel computes the strict upper triangle alone and mirrors it.  It
+scales S by the diagonal blocks of form_out instead of by rows: the rows in
+each block are scaled by column or each by its own lcm, whichever puts
+fewer bits on them, and the two groups keep one shared denominator each.
+Floating point only appears in the numerical probe and the quantum module,
 never here.
 """
 
@@ -552,12 +550,9 @@ def direct_sum(a: SkewForm, b: SkewForm) -> SkewForm:
 
 
 def _form_blocks(nz: Sequence[SparseRow]) -> list[range]:
-    """The contiguous diagonal blocks of a skew matrix, as row ranges.
-
-    A block ends at row k when no stored entry of rows <= k lies past
-    column k.  Coupling that is not contiguous merges blocks, down to a
-    single block, which stays exact.
-    """
+    """The contiguous diagonal blocks of a skew matrix, as row ranges: a
+    block ends at row k when no entry of rows <= k lies past column k, so
+    coupling that is not contiguous merges blocks, which stays exact."""
     blocks = []
     lo = reach = 0
     for k, row in enumerate(nz):
@@ -570,13 +565,9 @@ def _form_blocks(nz: Sequence[SparseRow]) -> list[range]:
 
 
 def _block_scales(rows, block: range) -> tuple[dict[int, int], list[int] | None]:
-    """Denominator scales for the rows of S in one block of form_out.
-
-    Returns the block's column scales (the lcm of each column's
-    denominators, for columns whose lcm is not 1) and, when scaling each row
-    by the lcm of its own denominators puts fewer bits on the block's
-    entries than the column scales do, those row scales; otherwise None.
-    """
+    """The column scales of the rows of S in a block of form_out (each
+    column's lcm of denominators, where it is not 1), and their row scales
+    (each row's lcm) if those put fewer bits on the entries, else None."""
     cs: dict[int, int] = {}
     for k in block:
         for j, (_, d) in rows[k]:
@@ -603,19 +594,16 @@ def symplectic_defect(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> Ra
     therefore be skew, which ``SkewForm(...)`` and ``SkewForm.from_json``
     check; only the unchecked ``SkewForm._trusted`` can break it.
 
-    The kernel runs on integers scaled by blocks.  form_out splits into its
-    contiguous diagonal blocks W_b, and S^T . form_out . S is the sum of
-    S_b^T . W_b . S_b over them, S_b being the rows of S in block b.  Each
-    block's rows are scaled to integers either by column (per column, the
-    lcm of the block's denominators there) or each by its own lcm,
-    whichever puts fewer bits on the block's entries: a dense form block
-    whose columns each carry one scale takes column scales, a 2 x 2 Darboux
-    pair whose rows each carry one takes row scales.  The column-scaled
-    rows share one scale c_j per column and one denominator D for their
-    form blocks, so their part of entry (i, j) is an integer over
-    D c_i c_j.  The row-scaled rows share one denominator L with form_in.
-    Entry (i, j) of U is then a single integer sum over D c_i c_j L, which
-    becomes a ``Fraction`` only when it is not zero.
+    The kernel runs on integers scaled by blocks.  S^T . form_out . S is the
+    sum of S_b^T . W_b . S_b over the contiguous diagonal blocks W_b of
+    form_out, S_b being the rows of S in block b.  Each block's rows are
+    scaled by column (per column, the lcm of the block's denominators) or
+    each by its own lcm, whichever puts fewer bits on its entries.  The
+    column-scaled rows share one scale c_j per column and one form
+    denominator D, so their part of entry (i, j) is an integer over
+    D c_i c_j; the row-scaled rows share one denominator L with form_in.
+    Each entry of U is one integer over D c_i c_j L, made a ``Fraction``
+    only when it is not zero.
     """
     if S.cols != form_in.dim or S.rows != form_out.dim:
         raise ShapeError(
