@@ -748,7 +748,7 @@ class TestParsing:
     def test_string_entries_parse_as_fraction_does(self, text):
         try:
             want = Fraction(text)
-        except Exception as e:  # noqa: BLE001 - the same type must be raised
+        except Exception as e:  # whatever Fraction raises, _frac must raise too
             with pytest.raises(Exception) as got:
                 _frac(text)
             assert type(got.value) is type(e)
