@@ -458,16 +458,6 @@ def size_witness(candidate: CloningProcess) -> SizeWitness:
     return SizeWitness(vector=w, pullback_row=pullback_row, partner=partner, pairing=pairing)
 
 
-def _numpy_standard_form(n: int) -> np.ndarray:
-    import numpy as np
-
-    j = np.zeros((2 * n, 2 * n))
-    for p in range(n):
-        j[2 * p, 2 * p + 1] = 1.0
-        j[2 * p + 1, 2 * p] = -1.0
-    return j
-
-
 # L-BFGS-B's default stopping tolerances: factr (1e7) times machine epsilon
 # on the relative decrease, pgtol on the largest gradient entry
 _FTOL = 1e7 * sys.float_info.epsilon
@@ -550,10 +540,7 @@ def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
 
     dm, dn = 2 * m, 2 * k
     d = 2 * dm + dn
-    xi = np.zeros((d, d))
-    xi[:dm, :dm] = _numpy_standard_form(m)
-    xi[dm : 2 * dm, dm : 2 * dm] = _numpy_standard_form(m)
-    xi[2 * dm :, 2 * dm :] = _numpy_standard_form(k)
+    xi = np.array(standard_form(2 * m + k).matrix.tolist(), dtype=float)  # J_m + J_m + J_k
     pinned = np.zeros((d, d))
     pinned[: 2 * dm, :dm] = np.tile(np.eye(dm), (2, 1))
     free = np.ones((d, d))

@@ -3,8 +3,13 @@
 Exit codes: 0 on success/pass, 1 on a verified negative result (a candidate
 fails verification, the readout equation is infeasible, a refutation or size
 witness is produced), 2 on usage, parse, or shape errors, and when standard
-output is closed before the report is written.  Reports are deterministic
-for fixed arguments and seed.
+output is closed before the report is written.  ``_load`` is the only reader
+of input files: a file that cannot be opened (missing, a directory, a path
+through a file), is not UTF-8, is not JSON (nested too deeply, an integer
+past Python's digit limit) or is not a valid document (a NaN, an infinity or
+a boolean among Hilbert amplitudes) gives one ``error: <path>: ...`` line.
+Every symclone error is a ``ValueError``, and ``run`` alone maps errors to
+exit 2.  Reports are deterministic for fixed arguments and seed.
 
 Only ``quantum-refute``, ``probe`` and ``diagram-check --instance hilb``
 load numpy; the exact commands start without it, and without numpy
@@ -22,7 +27,6 @@ import sys
 from .classical import (
     CloningProcess,
     InfeasibleError,
-    NotApplicableError,
     basic_cloner,
     clone_residual_probe,
     general_cloner,
@@ -31,14 +35,7 @@ from .classical import (
     verify_cloning,
 )
 from .diagrams import check_cloning_diagram, diagram_from_process
-from .exact import (
-    DegenerateFormError,
-    ShapeError,
-    SkewForm,
-    darboux_basis,
-    is_symplectic_map,
-    standard_form,
-)
+from .exact import SkewForm, darboux_basis, is_symplectic_map, standard_form
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,6 +50,10 @@ _MAX_CONSTRUCT_DIM = 400
 _MAX_READOUT_PAIRS = 200
 # probe runs L-BFGS on dense (4m + 2k)-square float matrices: 96 x 96 at 16
 _MAX_PROBE_PAIRS = 16
+# diagram-check --instance hilb draws and checks each sampled state in a
+# Python loop: about 0.25 ms a state for the CNOT file on a 2-vCPU VM, so
+# 2.5 s at 10,000, and more for a larger unitary
+_MAX_HILBERT_SAMPLES = 10_000
 
 
 def _emit(report: dict, fmt: str, human_lines) -> None:
@@ -61,16 +62,6 @@ def _emit(report: dict, fmt: str, human_lines) -> None:
     else:
         for line in human_lines:
             print(line)
-
-
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
 class CliError(Exception):
@@ -100,13 +91,21 @@ def _cmd_construct_general(args) -> int:
 
 
 def _load(path: str, parse):
-    """Read a JSON file and parse it, mapping every parse error to CliError."""
-    data = _load_json(path)
+    """Read a JSON input file and run ``parse`` on it, the one place the CLI
+    reads input; every way the file fails to be a document becomes a CliError
+    naming the path."""
     try:
-        return parse(data)
+        with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON is UTF-8
+            return parse(json.load(fh))
+    except OSError as exc:  # missing, a directory, a path through a file
+        raise CliError(f"{path}: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply")
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliError(f"{path}: missing or malformed field: {exc}")
-    except (ShapeError, DegenerateFormError, ValueError) as exc:
+    except ValueError as exc:  # the symclone errors, UnicodeDecodeError, int digit limit
         raise CliError(f"{path}: {exc}")
 
 
@@ -134,8 +133,6 @@ def _cmd_darboux(args) -> int:
 
 
 def _cmd_readout_solve(args) -> int:
-    if args.m < 0 or args.k < 0:
-        raise CliError("dimensions must be nonnegative")
     if max(args.m, args.k) > _MAX_READOUT_PAIRS:
         raise CliError(
             f"--m and --k must be at most {_MAX_READOUT_PAIRS} (the readout is a dense 2k x 2m matrix)"
@@ -158,11 +155,7 @@ def _cmd_readout_solve(args) -> int:
 
 
 def _cmd_size_witness(args) -> int:
-    process = _load(args.input, CloningProcess.from_json)
-    try:
-        witness = size_witness(process)
-    except NotApplicableError as exc:
-        raise CliError(str(exc))
+    witness = size_witness(_load(args.input, CloningProcess.from_json))
     _emit(
         witness.to_json(),
         args.format,
@@ -177,18 +170,13 @@ def _cmd_size_witness(args) -> int:
 
 
 def _cmd_quantum_refute(args) -> int:
-    from .quantum import HypothesisViolationError, standard_refutation
+    from .quantum import standard_refutation
 
-    if args.dim < 1:
-        raise CliError("d must be >= 1")
     if args.dim > _MAX_REFUTE_DIM:
         raise CliError(
             f"--dim must be at most {_MAX_REFUTE_DIM} (the basis cloner is a d^2 x d^2 complex matrix)"
         )
-    try:
-        refutation = standard_refutation(args.dim, args.psi_overlap)
-    except HypothesisViolationError as exc:
-        raise CliError(str(exc))
+    refutation = standard_refutation(args.dim, args.psi_overlap)
     _emit(
         refutation.to_json(),
         args.format,
@@ -207,10 +195,7 @@ def _cmd_probe(args) -> int:
             f"--m and --k must be at most {_MAX_PROBE_PAIRS} "
             "(the search runs on dense (4m + 2k)-square matrices)"
         )
-    try:
-        best = clone_residual_probe(args.m, args.k, args.iters, args.seed)
-    except (NotApplicableError, ValueError) as exc:
-        raise CliError(str(exc))
+    best = clone_residual_probe(args.m, args.k, args.iters, args.seed)
     out = {"best_defect": best, "m": args.m, "k": args.k, "iters": args.iters, "seed": args.seed}
     if args.k == 0:
         out["forced_lower_bound"] = math.sqrt(2 * args.m)
@@ -239,6 +224,10 @@ def _cmd_diagram_check(args) -> int:
         for option in ("samples", "seed"):
             if getattr(args, option) < 0:
                 raise CliError(f"--{option} must be nonnegative")
+        if args.samples > _MAX_HILBERT_SAMPLES:
+            raise CliError(
+                f"--samples must be at most {_MAX_HILBERT_SAMPLES} (each state is drawn and checked in turn)"
+            )
         import numpy as np
 
         inst, diagram = _load(args.input, _hilbert_diagram)
@@ -321,7 +310,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (CliError, ShapeError, DegenerateFormError) as exc:
+    except (CliError, ValueError) as exc:  # ValueError: every symclone error class
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModuleNotFoundError as exc:

@@ -11,7 +11,10 @@ identities after fixing the index order.
 
 A cloning diagram asserts that the candidate arrow c sends psi x beta x rho
 to psi x psi x f(psi) for every state psi; the checker tests this equation on
-a supplied sample of states.
+a supplied sample of states, and nothing else.  In particular the symplectic
+instance does not check that c preserves the forms: the basic process with
+its object form rescaled to [[0, 1/2], [-1/2, 0]] passes the diagram check
+and fails ``verify_cloning``.
 """
 
 from __future__ import annotations

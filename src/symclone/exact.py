@@ -508,12 +508,6 @@ class SkewForm:
         form.matrix = matrix
         return form
 
-    def pair(self, u: Sequence, v: Sequence) -> Fraction:
-        """Evaluate the form: u . (matrix v)."""
-        w = self.matrix.apply(v)
-        u = vec(u)
-        return sum((a * b for a, b in zip(u, w) if a and b), Fraction(0))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewForm) and self.matrix == other.matrix
 

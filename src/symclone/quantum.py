@@ -12,6 +12,7 @@ numpy.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,17 +184,22 @@ def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarra
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[np.newaxis, :].conj()
 
 
-def complex_matrix_to_json(a: np.ndarray) -> dict:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    return {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "entries": [[[float(x.real), float(x.imag)] for x in row] for row in a],
-    }
+def _json_complex(entry) -> complex:
+    """An ``[re, im]`` pair of JSON numbers that are finite as doubles.
+    ``json.load`` accepts NaN, Infinity and -Infinity, reads ``1e999`` as
+    inf and a 400-digit integer as an int no double holds; booleans are ints
+    to Python.  Each of these is refused."""
+    re, im = entry
+    for x in (re, im):
+        if type(x) not in (int, float):
+            raise TypeError(f"complex parts must be JSON numbers, got {type(x).__name__}")
+        if not abs(x) <= sys.float_info.max:  # false for NaN too; exact for ints
+            raise ValueError("complex parts must be finite doubles, not NaN, infinite or out of range")
+    return complex(re, im)
 
 
 def complex_matrix_from_json(data: dict) -> np.ndarray:
-    a = np.array([[complex(re, im) for re, im in row] for row in data["entries"]], dtype=complex)
+    a = np.array([[_json_complex(z) for z in row] for row in data["entries"]], dtype=complex)
     shape = (_json_int(data, "rows"), _json_int(data, "cols"))
     if a.size == 0:
         a = a.reshape(shape)
@@ -203,7 +209,7 @@ def complex_matrix_from_json(data: dict) -> np.ndarray:
 
 
 def complex_vector_from_json(entries) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in entries], dtype=complex)
+    return np.array([_json_complex(z) for z in entries], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +240,7 @@ def hilbert_instance() -> DiagramInstance:
 
     def sample_states(obj: int, count: int = 8, rng=None) -> list[np.ndarray]:
         rng = rng or np.random.default_rng(0)
-        states = [np.eye(obj)[:, j] for j in range(obj)]
-        for _ in range(count):
-            v = rng.standard_normal(obj) + 1j * rng.standard_normal(obj)
-            states.append(v / np.linalg.norm(v))
-        return states
+        return [np.eye(obj)[:, j] for j in range(obj)] + [random_state(obj, rng) for _ in range(count)]
 
     return DiagramInstance(
         name="hilbert",

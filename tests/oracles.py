@@ -12,7 +12,9 @@ it.  ``conjugated_cloner`` is the Darboux-conjugated standard process, kept
 as a fixture whose phi is dense with entries hundreds of bits wide.
 ``verify_cloning`` checks a process entry by entry on dense grids, and
 ``shuffle_permutation`` gives the block shuffle that the product
-constructors' phi is conjugated by.
+constructors' phi is conjugated by.  ``pair`` evaluates a skew form on two
+vectors, and ``complex_matrix_to_json`` writes a complex matrix in the layout
+of Hilbert diagram files; the program needs neither.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
-from symclone import CloningProcess, RatMatrix, SkewForm, VerificationReport, standard_cloner
+from symclone import CloningProcess, RatMatrix, SkewForm, VerificationReport, standard_cloner, vec
 from symclone.diagrams import DiagramInstance, DiagramReport
 
 _ZERO = Fraction(0)
@@ -30,6 +32,23 @@ def dense_key(grid: Sequence[Sequence], cols: int) -> tuple:
     """Two matrices are equal iff their keys are: the same column count and
     the same dense grid of values, however each entry is spelled."""
     return cols, tuple(tuple(Fraction(x) for x in row) for row in grid)
+
+
+def pair(form: SkewForm, u: Sequence, v: Sequence) -> Fraction:
+    """Evaluate the form: u . (matrix v), each vector coerced by ``vec``."""
+    w = form.matrix.apply(v)
+    return sum((a * b for a, b in zip(vec(u), w) if a and b), _ZERO)
+
+
+def complex_matrix_to_json(a) -> dict:
+    """A 2-D complex array as ``complex_matrix_from_json`` reads it: one
+    ``[re, im]`` pair of floats per entry."""
+    rows, cols = a.shape
+    return {
+        "rows": rows,
+        "cols": cols,
+        "entries": [[[float(x.real), float(x.imag)] for x in row] for row in a],
+    }
 
 
 def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:

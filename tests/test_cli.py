@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,15 @@ from hypothesis import strategies as st
 
 import symclone
 from symclone import RatMatrix, SkewForm, basic_cloner, mirror_cloner, standard_form, zero_vec
-from symclone.cli import _MAX_CONSTRUCT_DIM, _MAX_PROBE_PAIRS, _MAX_READOUT_PAIRS, run
-from symclone.quantum import basis_cloner, complex_matrix_to_json
+from symclone.cli import (
+    _MAX_CONSTRUCT_DIM,
+    _MAX_HILBERT_SAMPLES,
+    _MAX_PROBE_PAIRS,
+    _MAX_READOUT_PAIRS,
+    run,
+)
+from symclone.quantum import basis_cloner
+from oracles import complex_matrix_to_json
 
 
 def run_capture(capsys, *argv):
@@ -214,6 +222,9 @@ class TestInputCaps:
             (["probe", "--m", str(_MAX_PROBE_PAIRS + 1), "--k", "0"], _MAX_PROBE_PAIRS),
             (["probe", "--m", "1", "--k", str(_MAX_PROBE_PAIRS + 1)], _MAX_PROBE_PAIRS),
             (["probe", "--m", str(10**12), "--k", "1"], _MAX_PROBE_PAIRS),
+            # the cap is checked before the input is read, so no file is needed
+            (["diagram-check", "--instance", "hilb", "--input", "unread.json",
+              "--samples", str(_MAX_HILBERT_SAMPLES + 1)], _MAX_HILBERT_SAMPLES),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -321,6 +332,27 @@ class TestContract:
     def test_missing_file(self, capsys):
         code, _, err = run_capture(capsys, "verify", "--input", "/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "fault", ["directory", "path through a file", "not UTF-8", "nested 100,000 deep", "5,000-digit integer"]
+    )
+    def test_unreadable_input_names_the_file(self, tmp_path, capsys, fault):
+        path = tmp_path / "in.json"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "path through a file":
+            path.write_text("{}")
+            path = path / "y"
+        elif fault == "not UTF-8":
+            path.write_bytes(b'{"rows": "\xff"}')
+        elif fault == "nested 100,000 deep":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:  # past Python's 4,300-digit limit on int parsing
+            path.write_text('{"rows": ' + "1" * 5000 + "}")
+        code, out, err = run_capture(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["verify", "darboux"])
     def test_zero_denominator_is_a_parse_error(self, tmp_path, capsys, command):
@@ -525,6 +557,12 @@ def _at(doc, path):
     return doc
 
 
+def _non_finite(doc) -> bool:
+    """Whether some number in the document is a NaN or an infinity."""
+    leaves = (_at(doc, p) for p in _leaf_paths(doc))
+    return any(isinstance(v, float) and not math.isfinite(v) for v in leaves)
+
+
 def _non_integer_header(doc) -> bool:
     """Whether some matrix in the document has a size header that is not a
     JSON integer (a float or a boolean equal to the true size included)."""
@@ -536,7 +574,7 @@ def _non_integer_header(doc) -> bool:
 # negative, non-integer or far too large.
 _BAD_VALUES = st.one_of(
     st.sampled_from(["1/0", "x", "", " ", "1/2/3", "--1", "0x10", "nan", "inf", "1.5", "-0", "7/3"]),
-    st.sampled_from([None, True, False, 1.5, 2.0, {}, [], [[]], [["1"]], {"rows": 1}, "2"]),
+    st.sampled_from([None, True, False, 1.5, 2.0, float("nan"), float("inf"), {}, [], [[]], [["1"]], {"rows": 1}, "2"]),
     st.sampled_from([-1, 0, 1, 3, 5, 10**9, 10**30, -(10**9)]),
 )
 
@@ -600,7 +638,7 @@ def _mutate(doc, data) -> None:
 class TestMutatedInput:
     """Every mutation of a valid input ends in exit 0, 1 or 2: no exception
     escapes ``cli.run``, whatever the parser meets, and a size header that is
-    not a JSON integer always exits 2."""
+    not a JSON integer or a number that is not finite always exits 2."""
 
     DOCUMENTS = _fuzz_documents()
 
@@ -619,7 +657,7 @@ class TestMutatedInput:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run([*argv, "--input", str(path)])
             assert code in (0, 1, 2), (argv, doc)
-            if _non_integer_header(doc):
+            if _non_integer_header(doc) or _non_finite(doc):
                 assert code == 2, (argv, doc)
             if code == 2:
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -217,14 +217,14 @@ class TestSerialization:
     def test_apply_and_pair_coerce_their_vectors(self):
         m = RatMatrix([[1, 2], [3, 4]])
         assert m.apply([1, "1/2"]) == (Fraction(2), Fraction(5))
-        assert SkewForm(J2).pair(["1/2", 0], [0, "3"]) == Fraction(3, 2)
+        assert oracles.pair(SkewForm(J2), ["1/2", 0], [0, "3"]) == Fraction(3, 2)
         for bad in ([True, 0], [1.0, 0], [0, False]):
             with pytest.raises(TypeError):
                 m.apply(bad)
             with pytest.raises(TypeError):
-                SkewForm(J2).pair(bad, [1, 0])
+                oracles.pair(SkewForm(J2), bad, [1, 0])
             with pytest.raises(TypeError):
-                SkewForm(J2).pair([1, 0], bad)
+                oracles.pair(SkewForm(J2), [1, 0], bad)
 
     def test_zero_denominator_after_repeated_valid_strings(self):
         with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):

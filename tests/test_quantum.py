@@ -15,12 +15,13 @@ from symclone import (
 )
 from symclone.quantum import (
     complex_matrix_from_json,
-    complex_matrix_to_json,
+    complex_vector_from_json,
     isometry_defect,
     random_isometry,
     random_state,
     slice_amplitudes,
 )
+from oracles import complex_matrix_to_json
 
 CNOT = np.array(
     [
@@ -185,3 +186,16 @@ class TestComplexSerialization:
         data = complex_matrix_to_json(a)
         assert data["rows"] == 3 and data["cols"] == 2
         assert np.allclose(complex_matrix_from_json(data), a)
+
+    @pytest.mark.parametrize(
+        "part, error",
+        [(math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+         (10**400, ValueError), (True, TypeError), (False, TypeError), ("1", TypeError)],
+        ids=["nan", "inf", "-inf", "int past the double range", "true", "false", "string"],
+    )
+    def test_parts_must_be_finite_json_numbers(self, part, error):
+        # json.load reads NaN and Infinity tokens, and complex() takes booleans
+        with pytest.raises(error):
+            complex_matrix_from_json({"rows": 1, "cols": 1, "entries": [[[part, 0.0]]]})
+        with pytest.raises(error):
+            complex_vector_from_json([[1.0, 0.0], [0.0, part]])
