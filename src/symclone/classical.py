@@ -24,14 +24,15 @@ from typing import Sequence
 
 from .exact import (
     _ONE,
+    _ZERO,
     RatMatrix,
     RatVector,
     ShapeError,
     SkewForm,
     _combine,
+    _darboux,
     direct_sum,
     form_kernel,
-    darboux_basis,
     standard_form,
     symplectic_defect,
     vec,
@@ -302,18 +303,23 @@ def general_cloner(form: SkewForm) -> CloningProcess:
     keep the given coordinates, so phi's entries are those of G and G^-1
     (halved or not), with no products of them; the bit height stays near
     that of the Darboux basis instead of growing with the lcm of all its
-    denominators.
+    denominators.  G^-1 = J G^T omega is P^T omega with its odd rows
+    negated, and the Darboux walk gives P^T omega too, so building the
+    process takes no matrix product and no elimination.
     """
     n = form.dim // 2
     machine = standard_form(n)
     if form.dim == 0 or form == machine:
         return standard_cloner(n)
-    p = darboux_basis(form)
-    # swapping each pair turns P^T omega P = J into G^T (-omega) G = J, which
-    # also gives the inverse without elimination: G^-1 = J^-1 G^T (-omega)
-    # = J G^T omega
+    p, pt_omega = _darboux(form)
+    # swapping each pair turns P^T omega P = J into G^T (-omega) G = J, so
+    # G^-1 = J^-1 G^T (-omega) = J G^T omega; G^T omega is P^T omega with
+    # each row pair swapped, and J swaps them back, negating the odd rows
     g = RatMatrix._raw(tuple(tuple(sorted((j ^ 1, x) for j, x in row)) for row in p._nz), form.dim)
-    return _mirror_assembly(form, machine, g, machine.matrix @ (g.T @ form.matrix))
+    g_inv = tuple(
+        tuple((j, -x) for j, x in row) if i % 2 else row for i, row in enumerate(pt_omega._nz)
+    )
+    return _mirror_assembly(form, machine, g, RatMatrix._raw(g_inv, form.dim))
 
 
 def verify_cloning(c: CloningProcess) -> VerificationReport:
@@ -321,9 +327,16 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
 
     Checks symplecticity of the full map against the product form, the copying
     identity on the zero state and every object basis state (linearity makes
-    this exhaustive), and consistency of the stored readout with the machine
-    output.  Both reported residuals are exact rationals; verdict is pass iff
-    both are zero.  A nonzero symplectic defect is located by its first entry.
+    this exhaustive), consistency of the stored readout with the machine
+    output, and the readout equation F^T sigma F = -omega.  Both reported
+    residuals are exact rationals; verdict is pass iff both are zero.  A
+    nonzero symplectic defect is located by its first entry.
+
+    When the offset does not leak and every copying column is exactly
+    (e_i, e_i, F e_i), the object-object block of the symplectic defect is
+    omega + omega + F^T sigma F - omega, which is the readout equation's
+    defect, so it is read from there; otherwise the readout defect is
+    computed on its own.  The report is the same either way.
     """
     dm = c.object_dim
     total = c.total_form()
@@ -352,11 +365,13 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
     # the machine block; the offset's machine part cancels in the inferred
     # readout, phi[2m:, :m], so only its leak is added
     stored_cols = c.readout.T._nz
+    copies = not leak  # whether phi's first m columns are exactly (I, I, F)
     for i, col in enumerate(c.phi.T._nz[:dm]):
         got = _combine(col, leak)
         want = ((i, _ONE), (dm + i, _ONE)) + tuple((2 * dm + j, x) for j, x in stored_cols[i])
         if got == want:
             continue
+        copies = False
         # ascending columns, so the first reason is that of the first block
         for j, x in _combine(got, tuple((j, -x) for j, x in want)):
             if j < dm:
@@ -371,12 +386,17 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
     )
 
     # -omega = F^T sigma F, i.e. F is symplectic from (M, -omega) to (N, sigma);
-    # implied by the two checks above when they are exactly zero, but
-    # reported independently for imported candidates
-    pullback_defect = symplectic_defect(
-        c.readout, SkewForm._trusted(-c.object_form.matrix), c.machine_form
-    )
-    track(pullback_defect.max_abs(), "readout does not pull the machine form back to -omega")
+    # implied by the two checks above when they are exactly zero, and
+    # reported for candidates that fail them
+    if copies:
+        pullback_norm = max(
+            (abs(x) for row in defect._nz[:dm] for j, x in row if j < dm), default=_ZERO
+        )
+    else:
+        pullback_norm = symplectic_defect(
+            c.readout, SkewForm._trusted(-c.object_form.matrix), c.machine_form
+        ).max_abs()
+    track(pullback_norm, "readout does not pull the machine form back to -omega")
 
     if defect_norm and not reason:
         reason = "map is not symplectic for the product form"
@@ -525,8 +545,11 @@ def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
     norm of the best defect found.  Only the infeasible regime k < m is
     accepted.
 
-    For k = 0 the defect's object-object block is forced to equal the object
-    form itself, so the result is bounded below by sqrt(2m).
+    The result is bounded below by sqrt(2(m - k)): with the copying columns
+    pinned, the defect's object-object block is omega + F^T sigma F, whose
+    second term has rank at most 2k, and every singular value of omega = J_m
+    is 1, so by Eckart-Young-Mirsky the block is at least sqrt(2m - 2k) away
+    from zero in Frobenius norm.  For k = 0 the block is omega itself.
     """
     if m < 0 or k < 0:
         raise ValueError("dimensions must be nonnegative")

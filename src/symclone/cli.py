@@ -7,7 +7,9 @@ output is closed before the report is written.  ``_load`` is the only reader
 of input files: a file that cannot be opened (missing, a directory, a path
 through a file), is not UTF-8, is not JSON (nested too deeply, an integer
 past Python's digit limit) or is not a valid document (a NaN, an infinity or
-a boolean among Hilbert amplitudes) gives one ``error: <path>: ...`` line.
+a boolean among Hilbert amplitudes, a Hilbert unitary that is not an
+isometry or a state that is not a unit vector) gives one ``error: <path>:
+...`` line.
 Every symclone error is a ``ValueError``, and ``run`` alone maps errors to
 exit 2.  Reports are deterministic for fixed arguments and seed.
 
@@ -23,6 +25,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .classical import (
     CloningProcess,
@@ -56,9 +59,31 @@ _MAX_PROBE_PAIRS = 16
 _MAX_HILBERT_SAMPLES = 10_000
 
 
+def _dumps(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for documents with string
+    keys, byte for byte.  That call runs json's pure-Python encoder; here each
+    list of strings (a matrix row, a vector) is quoted and joined in C, and
+    every other scalar goes to ``json.dumps``."""
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(doc[k], inner)}" for k in sorted(doc)]
+    elif isinstance(doc, (list, tuple)):
+        brackets = "[]"
+        try:
+            items = list(map(encode_basestring_ascii, doc))
+        except TypeError:  # not all strings
+            items = [_dumps(x, inner) for x in doc]
+    else:
+        return json.dumps(doc)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _emit(report: dict, fmt: str, human_lines) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         for line in human_lines:
             print(line)
@@ -196,21 +221,40 @@ def _cmd_probe(args) -> int:
             "(the search runs on dense (4m + 2k)-square matrices)"
         )
     best = clone_residual_probe(args.m, args.k, args.iters, args.seed)
-    out = {"best_defect": best, "m": args.m, "k": args.k, "iters": args.iters, "seed": args.seed}
-    if args.k == 0:
-        out["forced_lower_bound"] = math.sqrt(2 * args.m)
+    out = {"best_defect": best, "forced_lower_bound": math.sqrt(2 * (args.m - args.k)),
+           "m": args.m, "k": args.k, "iters": args.iters, "seed": args.seed}
     _emit(out, args.format, [f"best symplectic defect found: {best:.6g}"])
     return EXIT_OK
 
 
 def _hilbert_diagram(data: dict):
-    from .quantum import complex_matrix_from_json, complex_vector_from_json, hilbert_cloning_diagram
+    """The Hilbert diagram of an input file, whose unitary must be an
+    isometry and whose beta and rho must be unit vectors: amplitudes near the
+    double range would otherwise overflow in the check and give a verdict
+    computed on inf and NaN."""
+    import numpy as np
 
-    return hilbert_cloning_diagram(
+    from .quantum import (
+        _as_state,
+        complex_matrix_from_json,
+        complex_vector_from_json,
+        hilbert_cloning_diagram,
+        is_isometry,
+    )
+
+    inst, diagram = hilbert_cloning_diagram(
         complex_matrix_from_json(data["unitary"]),
         complex_vector_from_json(data["beta"]),
         complex_vector_from_json(data["rho"]) if "rho" in data else None,
     )
+    # an overflow makes the isometry defect or the norm inf or NaN, which
+    # fails the check below; numpy need not warn about it as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        _as_state(diagram.beta, "beta")
+        _as_state(diagram.rho, "rho")
+        if not is_isometry(diagram.arrow_c):
+            raise ValueError("unitary is not an isometry at the module tolerance")
+    return inst, diagram
 
 
 def _cmd_diagram_check(args) -> int:

@@ -671,6 +671,16 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
     ``standard_form(dim/2)``, exactly.  The output is one valid choice, not a
     canonical one; verify with the pullback identity rather than comparing P.
     """
+    return _darboux(form)[0]
+
+
+def _darboux(form: SkewForm) -> tuple[RatMatrix, RatMatrix]:
+    """``darboux_basis(form)`` and P^T . form.matrix, from one walk.
+
+    The walk applies omega to every basis vector it emits, and row c of
+    P^T omega is -(omega p_c)^T since omega is skew, so the second matrix
+    costs no product.
+    """
     n = form.dim
     # the form as omega / den with omega an integer matrix (sparse rows)
     rows = _int_rows(form.matrix)
@@ -683,7 +693,8 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
     # each vector is scale * u, with u a primitive integer vector, so
     # pair(x, y) = x.scale * y.scale * dot(x.u, omega y.u) / den
     remaining = [(_ONE, [int(i == j) for i in range(n)]) for j in range(n)]
-    columns: list[tuple[Fraction, list[int]]] = []
+    # (scale, u, omega u) of each column of P
+    columns: list[tuple[Fraction, list[int], list[int]]] = []
     while remaining:
         se, ue = remaining.pop(0)
         we = apply(ue)
@@ -695,8 +706,8 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
         sf, uf = remaining.pop(idx)
         # f /= pair(e, f), so that pair(e, f) = 1
         sf /= sf * se * Fraction(-along_e.pop(idx), den)
-        columns += [(se, ue), (sf, uf)]
         wf = apply(uf)
+        columns += [(se, ue, we), (sf, uf, wf)]
         # v - pair(v, f) e + pair(v, e) f
         #   = v.scale * (v.u + t (dot(v.u, omega e.u) f.u - dot(v.u, omega f.u) e.u))
         t = se * sf / den
@@ -712,8 +723,14 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
             projected.append((sv * Fraction(g, t.denominator), [x // g for x in w]))
         remaining = projected
     cols = [_fraction_row(s.denominator, [(i, s.numerator * x) for i, x in enumerate(u)])
-            for s, u in columns]
-    return RatMatrix._raw(_transpose(cols, n), n)
+            for s, u, _ in columns]
+    # omega p_c = s_c (omega u_c) / den, so row c of P^T omega is -s_c / den
+    # times omega u_c
+    pt_omega = []
+    for s, _, w in columns:
+        t = -s / den
+        pt_omega.append(_fraction_row(t.denominator, [(j, t.numerator * x) for j, x in enumerate(w)]))
+    return RatMatrix._raw(_transpose(cols, n), n), RatMatrix._raw(tuple(pt_omega), n)
 
 
 def form_kernel(matrix: RatMatrix) -> list[RatVector]:

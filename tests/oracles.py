@@ -9,7 +9,9 @@ tests use it to check that constructed maps have determinant one.
 ``check_traditional_diagram`` codes the machine-free cloning diagram
 directly, so the reduction law of the generic checker can be tested against
 it.  ``conjugated_cloner`` is the Darboux-conjugated standard process, kept
-as a fixture whose phi is dense with entries hundreds of bits wide.
+as a fixture whose phi is dense with entries hundreds of bits wide, and
+``product_general_cloner`` builds the general process by its product
+formula, G^-1 = J (G^T omega).
 ``verify_cloning`` checks a process entry by entry on dense grids, and
 ``shuffle_permutation`` gives the block shuffle that the product
 constructors' phi is conjugated by.  ``pair`` evaluates a skew form on two
@@ -22,7 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
-from symclone import CloningProcess, RatMatrix, SkewForm, VerificationReport, standard_cloner, vec
+from symclone import (
+    CloningProcess,
+    RatMatrix,
+    SkewForm,
+    VerificationReport,
+    standard_cloner,
+    standard_form,
+    vec,
+)
 from symclone.diagrams import DiagramInstance, DiagramReport
 
 _ZERO = Fraction(0)
@@ -153,6 +163,36 @@ def conjugated_cloner(form: SkewForm) -> CloningProcess:
         phi=matmul(matmul(t, std.phi), t_inv),
         readout=matmul(std.readout, p_inv),
     )
+
+
+def product_general_cloner(form: SkewForm) -> CloningProcess:
+    """``general_cloner`` by its product formula, on dense grids.
+
+    G is the Darboux basis with each column pair swapped, so that
+    G^T (-omega) G = J; its inverse is J (G^T omega), two reference products;
+    phi is [[I, I, G], [I, -I/2, G/2], [G^-1, G^-1/2, 3I/2]] with zero blank
+    and ready states and readout G^-1.  The standard form (dim 0 included)
+    gets the standard process.
+    """
+    d = form.dim
+    machine = standard_form(d // 2)
+    if d == 0 or form == machine:
+        return standard_cloner(d // 2)
+    p = darboux_basis(form)
+    g = RatMatrix([[p[i, j ^ 1] for j in range(d)] for i in range(d)])
+    g_inv = matmul(machine.matrix, matmul(g.T, form.matrix))
+    eye = RatMatrix.identity(d).tolist()
+    gg, gi = g.tolist(), g_inv.tolist()
+
+    def scaled(row, c):
+        return [c * x for x in row]
+
+    half = Fraction(1, 2)
+    rows = [eye[i] + eye[i] + gg[i] for i in range(d)]
+    rows += [eye[i] + scaled(eye[i], -half) + scaled(gg[i], half) for i in range(d)]
+    rows += [gi[i] + scaled(gi[i], half) + scaled(eye[i], 3 * half) for i in range(d)]
+    zero = (_ZERO,) * d
+    return CloningProcess(form, zero, machine, zero, RatMatrix(rows), g_inv)
 
 
 def det(m: RatMatrix) -> Fraction:

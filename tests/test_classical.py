@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symclone
+from symclone import classical
 from symclone import (
     CloningProcess,
     CloningVerificationError,
@@ -21,6 +22,7 @@ from symclone import (
     basic_cloner,
     clone_residual_probe,
     darboux_basis,
+    direct_sum,
     general_cloner,
     is_symplectic_map,
     mirror_cloner,
@@ -33,7 +35,7 @@ from symclone import (
     vec,
     zero_vec,
 )
-from conftest import random_skew_form
+from conftest import kernel_examples, random_skew_form
 import oracles
 from oracles import shuffle_permutation
 
@@ -304,6 +306,16 @@ class TestGeneralCloner:
         c = general_cloner(random_skew_form(32, random.Random(32)))
         assert _bits(c.phi) < 100
 
+    @given(st.one_of(_FORMS, st.tuples(_FORMS, _FORMS).map(lambda ab: direct_sum(*ab))))
+    @example(standard_form(0))
+    @example(standard_form(2))
+    @example(direct_sum(standard_form(1), random_skew_form(2, random.Random(1))))
+    @settings(max_examples=kernel_examples(30), deadline=None)
+    def test_equals_the_product_formula(self, form):
+        # G^-1 comes from the Darboux walk, not from J (G^T omega); every
+        # stored row of phi and of the readout must be the same
+        assert general_cloner(form) == oracles.product_general_cloner(form)
+
 
 class TestVerifyFailures:
     def test_identity_map_does_not_clone(self):
@@ -437,6 +449,72 @@ class TestVerifyAgainstReference:
         assert rep.reason == reason
         assert rep.cloning_residual == residual
         assert rep == oracles.verify_cloning(process)
+
+
+def _scaled_machine(c: CloningProcess, scale: Fraction) -> CloningProcess:
+    """c with phi's machine rows and the stored readout both times scale:
+    the copying columns stay exactly (e_i, e_i, F e_i), and the readout
+    equation fails unless scale is 0 or +-1."""
+    dm = c.object_dim
+    phi = [row if i < 2 * dm else [scale * x for x in row] for i, row in enumerate(c.phi.tolist())]
+    return _with(c, phi=phi, readout=[[scale * x for x in row] for row in c.readout.tolist()])
+
+
+def _defect_calls(c: CloningProcess):
+    """verify_cloning's report on c and its number of symplectic_defect calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return symplectic_defect(*args)
+
+    symplectic_defect = classical.symplectic_defect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "symplectic_defect", counted)
+        rep = verify_cloning(c)
+    return rep, len(calls)
+
+
+_SCALES = _ENTRIES.filter(lambda x: x not in (0, 1, -1))
+_OFFSETS = st.lists(_ENTRIES, min_size=2, max_size=2).filter(any)
+
+
+class TestReadoutFromTheDefect:
+    """With exact copying columns and no leaking offset, the readout defect
+    F^T sigma F + omega is the object-object block of phi's defect, and the
+    verifier reads it from there; otherwise it computes it on its own.
+    Either way the report equals the dense reference."""
+
+    @given(st.sampled_from(sorted(_VERIFY_BASES)), _SCALES)
+    @example("basic", Fraction(2))
+    @settings(max_examples=kernel_examples(50), deadline=None)
+    def test_exact_copies_with_a_failing_readout(self, base, scale):
+        c = _scaled_machine(_VERIFY_BASES[base], scale)
+        rep, calls = _defect_calls(c)
+        assert calls == 1
+        assert rep.reason == "readout does not pull the machine form back to -omega"
+        # F^T sigma F = -omega, so the defect is (1 - scale^2) omega
+        assert rep.cloning_residual == abs(1 - scale**2) * c.object_form.matrix.max_abs()
+        assert rep == oracles.verify_cloning(c)
+
+    @given(st.sampled_from(sorted(_VERIFY_BASES)), _OFFSETS, st.data())
+    @settings(max_examples=kernel_examples(50), deadline=None)
+    def test_leaking_offsets_take_the_kernel(self, base, head, data):
+        c = _VERIFY_BASES[base]
+        # a nonzero blank leaks into the copy block of every base process
+        blank = head + [data.draw(_ENTRIES) for _ in range(c.object_dim - 2)]
+        ready = [data.draw(_ENTRIES) for _ in range(c.machine_dim)]
+        if data.draw(st.booleans()):
+            c = _scaled_machine(c, data.draw(_SCALES))
+        c = _with(c, blank=blank, ready=ready)
+        rep, calls = _defect_calls(c)
+        assert calls == 2
+        assert rep.reason == "offset image leaks into the object/copy blocks"
+        assert rep == oracles.verify_cloning(c)
+
+    def test_a_passing_process_makes_one_defect_call(self):
+        rep, calls = _defect_calls(_VERIFY_BASES["general"])
+        assert rep.passed and calls == 1
 
 
 class TestReadoutSolver:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symclone
-from symclone import RatMatrix, SkewForm, basic_cloner, mirror_cloner, standard_form, zero_vec
+from symclone import (
+    RatMatrix,
+    SkewForm,
+    basic_cloner,
+    general_cloner,
+    mirror_cloner,
+    standard_form,
+    zero_vec,
+)
 from symclone.cli import (
+    _HANDLERS,
+    _dumps,
     _MAX_CONSTRUCT_DIM,
     _MAX_HILBERT_SAMPLES,
     _MAX_PROBE_PAIRS,
@@ -23,6 +34,7 @@ from symclone.cli import (
     run,
 )
 from symclone.quantum import basis_cloner
+from conftest import random_skew_form
 from oracles import complex_matrix_to_json
 
 
@@ -195,6 +207,16 @@ class TestProbe:
         report = json.loads(out)
         assert report["best_defect"] >= report["forced_lower_bound"] - 1e-6
 
+    @pytest.mark.parametrize("m, k", [(2, 1), (3, 1)])
+    def test_probe_reports_the_rank_bound_with_a_machine(self, capsys, m, k):
+        code, out, _ = run_capture(
+            capsys, "probe", "--m", str(m), "--k", str(k), "--iters", "300", "--seed", "1"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["forced_lower_bound"] == math.sqrt(2 * (m - k))
+        assert report["best_defect"] >= report["forced_lower_bound"] - 1e-6
+
     def test_feasible_regime_is_a_usage_error(self, capsys):
         code, _, _ = run_capture(capsys, "probe", "--m", "1", "--k", "1")
         assert code == 2
@@ -301,6 +323,45 @@ class TestDiagramCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a JSON integer" in err
 
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # 1e308 squared overflows: the check used to print numpy's
+            # RuntimeWarning and a verdict computed on inf (exit 1)
+            ("unitary", 1e308, "unitary is not an isometry at the module tolerance"),
+            ("unitary", 2.0, "unitary is not an isometry at the module tolerance"),
+            ("beta", 1e308, "beta must be a unit vector (norm inf)"),
+            ("beta", 0.5, "beta must be a unit vector (norm 0.5)"),
+            ("rho", 3.0, "rho must be a unit vector (norm 3)"),
+        ],
+    )
+    def test_non_unitary_or_non_unit_input_is_a_parse_error(self, tmp_path, capsys, field, value, message):
+        payload = {
+            "unitary": complex_matrix_to_json(basis_cloner(2)),
+            "beta": [[1.0, 0.0], [0.0, 0.0]],
+            "rho": [[1.0, 0.0]],
+        }
+        entries = payload[field]["entries"] if field == "unitary" else payload[field]
+        entries[0][0] = [value, 0.0] if field == "unitary" else value
+        path = tmp_path / "hilb.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_capture(
+            capsys, "diagram-check", "--instance", "hilb", "--input", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    def test_empty_object_space_is_a_parse_error(self, tmp_path, capsys):
+        # C^0 holds no unit vector; the check used to pass vacuously (exit 0)
+        path = tmp_path / "hilb.json"
+        path.write_text(json.dumps({"unitary": {"rows": 0, "cols": 0, "entries": []}, "beta": []}))
+        code, out, err = run_capture(
+            capsys, "diagram-check", "--instance", "hilb", "--input", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: beta must be a unit vector (norm 0)\n"
 
     @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--samples", "-3")])
     def test_negative_sampling_option_is_a_usage_error(self, tmp_path, capsys, option, value):
@@ -467,6 +528,61 @@ for name, argv in json.loads(sys.argv[1]):
         codes[name] = run(argv)
 print(json.dumps(codes))
 """
+
+
+# JSON documents: scalars of every kind, non-ASCII text and empty containers
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(st.text()) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """Reports are written by ``cli._dumps``, which must give the bytes of
+    ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @given(_JSON)
+    @settings(max_examples=150, deadline=None)
+    def test_writer_matches_json_dumps(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_every_command_writes_what_json_dumps_writes(self, tmp_path, capsys):
+        process = tmp_path / "general.json"
+        process.write_text(json.dumps(general_cloner(random_skew_form(4, random.Random(4))).to_json()))
+        undersized = tmp_path / "undersized.json"
+        undersized.write_text(json.dumps({
+            **basic_cloner().to_json(),
+            "machine_form": standard_form(0).to_json(),
+            "ready": [],
+            "phi": RatMatrix.identity(4).to_json(),
+            "readout": RatMatrix.zeros(0, 2).to_json(),
+        }))
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps(random_skew_form(4, random.Random(5)).to_json()))
+        hilb = tmp_path / "hilb.json"
+        hilb.write_text(json.dumps({
+            "unitary": complex_matrix_to_json(basis_cloner(2)),
+            "beta": [[1.0, 0.0], [0.0, 0.0]],
+        }))
+        commands = [
+            ["construct-basic"],
+            ["construct-general", "--dim", "6"],
+            ["verify", "--input", str(process)],
+            ["darboux", "--input", str(form)],
+            ["readout-solve", "--m", "1", "--k", "2"],
+            ["readout-solve", "--m", "2", "--k", "1"],
+            ["size-witness", "--input", str(undersized)],
+            ["quantum-refute", "--dim", "3"],
+            ["probe", "--m", "2", "--k", "1", "--iters", "100"],
+            ["diagram-check", "--instance", "symp", "--input", str(process)],
+            ["diagram-check", "--instance", "hilb", "--input", str(hilb), "--samples", "2"],
+        ]
+        assert {argv[0] for argv in commands} == set(_HANDLERS)
+        for argv in commands:
+            code, out, err = run_capture(capsys, *argv)
+            assert code in (0, 1) and err == "", argv
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
 
 
 class TestNumpyFree:

@@ -25,7 +25,7 @@ from symclone import (
     vec,
     verify_cloning,
 )
-from symclone.exact import _block_scales, _form_blocks, _frac, _is_skew
+from symclone.exact import _block_scales, _darboux, _form_blocks, _frac, _is_skew
 from conftest import kernel_examples, random_skew_form
 import oracles
 
@@ -154,6 +154,32 @@ class TestDarboux:
             p = darboux_basis(f)
             assert p.rank() == dim
             assert is_symplectic_map(p, standard_form(dim // 2), f)
+
+
+@st.composite
+def walk_forms(draw):
+    """A standard or random form of dim 0 to 6, or the direct sum of two."""
+    form = draw(skew_forms())
+    if draw(st.booleans()):
+        form = direct_sum(form, draw(skew_forms()))
+    return form
+
+
+class TestDarbouxWalk:
+    """The walk returns P^T omega beside P, built from the vectors omega u it
+    computes anyway; both must equal what products give."""
+
+    @given(walk_forms())
+    @example(standard_form(0))
+    @example(standard_form(1))
+    @example(random_skew_form(2, random.Random(2)))
+    @example(direct_sum(standard_form(1), random_skew_form(2, random.Random(4))))
+    @settings(max_examples=kernel_examples(100), deadline=None)
+    def test_walk_returns_the_basis_and_its_product_with_the_form(self, form):
+        p, pt_omega = _darboux(form)
+        assert darboux_basis(form) == p
+        assert pt_omega == p.T @ form.matrix
+        assert pt_omega.shape == (form.dim, form.dim)
 
 
 class TestFormKernel:
