@@ -454,7 +454,7 @@ class TestVerifyAgainstReference:
 def _scaled_machine(c: CloningProcess, scale: Fraction) -> CloningProcess:
     """c with phi's machine rows and the stored readout both times scale:
     the copying columns stay exactly (e_i, e_i, F e_i), and the readout
-    equation fails unless scale is 0 or +-1."""
+    defect of a passing c becomes (1 - scale^2) omega."""
     dm = c.object_dim
     phi = [row if i < 2 * dm else [scale * x for x in row] for i, row in enumerate(c.phi.tolist())]
     return _with(c, phi=phi, readout=[[scale * x for x in row] for row in c.readout.tolist()])
@@ -462,13 +462,12 @@ def _scaled_machine(c: CloningProcess, scale: Fraction) -> CloningProcess:
 
 def _defect_calls(c: CloningProcess):
     """verify_cloning's report on c and its number of symplectic_defect calls."""
-    calls = []
+    kernel, calls = classical.symplectic_defect, []
 
     def counted(*args):
         calls.append(args)
-        return symplectic_defect(*args)
+        return kernel(*args)
 
-    symplectic_defect = classical.symplectic_defect
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classical, "symplectic_defect", counted)
         rep = verify_cloning(c)
@@ -507,6 +506,22 @@ class TestReadoutFromTheDefect:
         if data.draw(st.booleans()):
             c = _scaled_machine(c, data.draw(_SCALES))
         c = _with(c, blank=blank, ready=ready)
+        rep, calls = _defect_calls(c)
+        assert calls == 2
+        assert rep.reason == "offset image leaks into the object/copy blocks"
+        assert rep == oracles.verify_cloning(c)
+
+    def test_copying_columns_that_absorb_the_leak_take_the_kernel(self):
+        # each copying column is (e_i, e_i, F e_i) minus the leak, so every
+        # basis state copies exactly while the offset still leaks, and the
+        # object-object block of the defect is not the readout defect
+        c = _with(basic_cloner(), blank=[1, 0])
+        leak = c.phi.apply(zero_vec(2) + c.blank + c.ready)[:4]
+        phi = c.phi.tolist()
+        for row, x in zip(phi, leak):
+            row[0] -= x
+            row[1] -= x
+        c = _with(c, phi=phi)
         rep, calls = _defect_calls(c)
         assert calls == 2
         assert rep.reason == "offset image leaks into the object/copy blocks"
