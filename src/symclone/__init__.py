@@ -8,7 +8,8 @@ checker for symmetric monoidal categories.
 The exact side imports nothing outside the standard library.  The float side
 (``symclone.quantum``: the refuter and the Hilbert diagram instance) needs
 numpy, so its names load on first access (PEP 562) and ``import symclone``
-alone does not load numpy.
+alone does not load numpy.  The names of ``symclone.diagrams`` load on first
+access too: of the CLI commands only ``diagram-check`` needs them.
 """
 
 import importlib as _importlib
@@ -44,41 +45,46 @@ from .classical import (
     standard_cloner,
     verify_cloning,
 )
-from .diagrams import (
-    AffineMap,
-    CloningDiagram,
-    DiagramInstance,
-    DiagramReport,
-    check_cloning_diagram,
-    diagram_from_process,
-    symplectic_instance,
-)
 
 __version__ = "0.1.0"
 
-# served from symclone.quantum on first access
-_QUANTUM = (
-    "HypothesisViolationError",
-    "Refutation",
-    "basis_cloner",
-    "hilbert_cloning_diagram",
-    "hilbert_instance",
-    "is_isometry",
-    "kron",
-    "refute_cloning",
-    "standard_refutation",
-)
+# served from their submodules on first access
+_LAZY = {
+    "diagrams": (
+        "AffineMap",
+        "CloningDiagram",
+        "DiagramInstance",
+        "DiagramReport",
+        "check_cloning_diagram",
+        "diagram_from_process",
+        "symplectic_instance",
+    ),
+    "quantum": (
+        "HypothesisViolationError",
+        "Refutation",
+        "basis_cloner",
+        "hilbert_cloning_diagram",
+        "hilbert_instance",
+        "is_isometry",
+        "kron",
+        "refute_cloning",
+        "standard_refutation",
+    ),
+}
+_LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = sorted(
     [name for name in globals() if not name.startswith("_")]
-    + ["quantum", *_QUANTUM]
+    + [*_LAZY, *_LAZY_SOURCE]
 )
 
 
 def __getattr__(name: str):
-    if name == "quantum" or name in _QUANTUM:
-        quantum = _importlib.import_module(".quantum", __name__)
-        return quantum if name == "quantum" else getattr(quantum, name)
+    if name in _LAZY:
+        return _importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_SOURCE:
+        module = _importlib.import_module(f".{_LAZY_SOURCE[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .exact import (
     _ONE,
     _ZERO,
@@ -63,27 +63,31 @@ def _vec_from_json(data: dict, key: str) -> RatVector:
     return vec(data[key])
 
 
-@dataclass(frozen=True)
-class CloningProcess:
+class CloningProcess(Record):
     """A copying process: object space, blank state, machine space, ready state,
     the full linear map on object x copy x machine, and the machine readout."""
 
-    object_form: SkewForm
-    blank: RatVector
-    machine_form: SkewForm
-    ready: RatVector
-    phi: RatMatrix
-    readout: RatMatrix
-
-    def __post_init__(self):
-        dm, dn = self.object_form.dim, self.machine_form.dim
-        if len(self.blank) != dm or len(self.ready) != dn:
+    def __init__(
+        self,
+        object_form: SkewForm,
+        blank: RatVector,
+        machine_form: SkewForm,
+        ready: RatVector,
+        phi: RatMatrix,
+        readout: RatMatrix,
+    ):
+        dm, dn = object_form.dim, machine_form.dim
+        if len(blank) != dm or len(ready) != dn:
             raise ShapeError("blank/ready lengths do not match the form dimensions")
         total = 2 * dm + dn
-        if self.phi.shape != (total, total):
-            raise ShapeError(f"phi must be {total}x{total}, got {self.phi.shape}")
-        if self.readout.shape != (dn, dm):
-            raise ShapeError(f"readout must be {dn}x{dm}, got {self.readout.shape}")
+        if phi.shape != (total, total):
+            raise ShapeError(f"phi must be {total}x{total}, got {phi.shape}")
+        if readout.shape != (dn, dm):
+            raise ShapeError(f"readout must be {dn}x{dm}, got {readout.shape}")
+        self.__dict__.update(
+            object_form=object_form, blank=blank, machine_form=machine_form,
+            ready=ready, phi=phi, readout=readout,
+        )
 
     @property
     def object_dim(self) -> int:
@@ -119,16 +123,23 @@ class CloningProcess:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    symplectic_defect_norm: Fraction
-    cloning_residual: Fraction
-    inferred_readout: RatMatrix
-    verdict: str  # "pass" | "fail"
-    reason: str
-    # (row, col, value) of the first nonzero symplectic-defect entry in
-    # row-major order; None when phi is symplectic
-    first_defect_entry: tuple[int, int, Fraction] | None = None
+class VerificationReport(Record):
+    def __init__(
+        self,
+        symplectic_defect_norm: Fraction,
+        cloning_residual: Fraction,
+        inferred_readout: RatMatrix,
+        verdict: str,  # "pass" | "fail"
+        reason: str,
+        # (row, col, value) of the first nonzero symplectic-defect entry in
+        # row-major order; None when phi is symplectic
+        first_defect_entry: tuple[int, int, Fraction] | None = None,
+    ):
+        self.__dict__.update(
+            symplectic_defect_norm=symplectic_defect_norm, cloning_residual=cloning_residual,
+            inferred_readout=inferred_readout, verdict=verdict, reason=reason,
+            first_defect_entry=first_defect_entry,
+        )
 
     @property
     def passed(self) -> bool:
@@ -431,18 +442,19 @@ def readout_solver(m: int, k: int) -> RatMatrix:
     return RatMatrix._raw(tuple(flip) + ((),) * (2 * (k - m)), 2 * m)
 
 
-@dataclass(frozen=True)
-class SizeWitness:
+class SizeWitness(Record):
     """Kernel vector of the readout plus the nondegeneracy contradiction.
 
     ``pullback_row`` is (F^T sigma F) w, identically zero; ``pairing`` is
     omega(w, partner), nonzero, so -omega cannot equal the pullback.
     """
 
-    vector: RatVector
-    pullback_row: RatVector
-    partner: RatVector
-    pairing: Fraction
+    def __init__(
+        self, vector: RatVector, pullback_row: RatVector, partner: RatVector, pairing: Fraction
+    ):
+        self.__dict__.update(
+            vector=vector, pullback_row=pullback_row, partner=partner, pairing=pairing
+        )
 
     def to_json(self) -> dict:
         return {

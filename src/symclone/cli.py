@@ -37,7 +37,6 @@ from .classical import (
     size_witness,
     verify_cloning,
 )
-from .diagrams import check_cloning_diagram, diagram_from_process
 from .exact import SkewForm, darboux_basis, is_symplectic_map, standard_form
 
 EXIT_OK = 0
@@ -258,6 +257,9 @@ def _hilbert_diagram(data: dict):
 
 
 def _cmd_diagram_check(args) -> int:
+    # imported here, not at module level: no other command needs the module
+    from .diagrams import check_cloning_diagram, diagram_from_process
+
     if args.instance == "symp":
         process = _load(args.input, CloningProcess.from_json)
         inst, diagram = diagram_from_process(process)

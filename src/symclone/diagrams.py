@@ -19,10 +19,10 @@ and fails ``verify_cloning``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
+from ._record import Record
 from .exact import _ONE, RatMatrix, RatVector, ShapeError, SkewForm, _vec_add, vec, zero_vec
 
 
@@ -39,8 +39,7 @@ def _exact_state(x) -> RatVector:
 # arrows
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """Affine map v -> matrix . v + offset between symplectic vector spaces.
 
     A map from the zero-dimensional space (the monoidal unit) is a 2m x 0
@@ -48,12 +47,10 @@ class AffineMap:
     enter the symplectic instance.
     """
 
-    matrix: RatMatrix
-    offset: RatVector
-
-    def __post_init__(self):
-        if len(self.offset) != self.matrix.rows:
+    def __init__(self, matrix: RatMatrix, offset: RatVector):
+        if len(offset) != matrix.rows:
             raise ShapeError("offset length must match the matrix row count")
+        self.__dict__.update(matrix=matrix, offset=offset)
 
     @property
     def source_dim(self) -> int:
@@ -68,8 +65,7 @@ class AffineMap:
 # instances
 
 
-@dataclass(frozen=True)
-class DiagramInstance:
+class DiagramInstance(Record):
     """One symmetric monoidal category, packaged as callables.
 
     States of an object are arrows from the unit object; ``state_arrow``
@@ -80,14 +76,21 @@ class DiagramInstance:
     condition to basis states plus zero).
     """
 
-    name: str
-    unit: Any
-    compose: Callable[[Any, Any], Any]
-    tensor: Callable[[Any, Any], Any]
-    equal: Callable[[Any, Any], bool]
-    state_arrow: Callable[[Any, Any], Any]
-    sample_states: Callable[..., list]
-    exhaustive: bool
+    def __init__(
+        self,
+        name: str,
+        unit: Any,
+        compose: Callable[[Any, Any], Any],
+        tensor: Callable[[Any, Any], Any],
+        equal: Callable[[Any, Any], bool],
+        state_arrow: Callable[[Any, Any], Any],
+        sample_states: Callable[..., list],
+        exhaustive: bool,
+    ):
+        self.__dict__.update(
+            name=name, unit=unit, compose=compose, tensor=tensor, equal=equal,
+            state_arrow=state_arrow, sample_states=sample_states, exhaustive=exhaustive,
+        )
 
 
 def symplectic_instance() -> DiagramInstance:
@@ -133,28 +136,40 @@ def symplectic_instance() -> DiagramInstance:
 # diagrams
 
 
-@dataclass(frozen=True)
-class CloningDiagram:
+class CloningDiagram(Record):
     """Candidate cloning data: c : A x A x B -> A x A x B together with the
     blank state beta of A, the machine object B with ready state rho, and the
     claimed readout f from states of A to states of B.  Taking B to be the
     unit object (with empty states) recovers the machine-free diagram."""
 
-    object_a: Any
-    beta: Any
-    machine_b: Any
-    rho: Any
-    arrow_c: Any
-    readout: Callable[[Any], Any]
+    def __init__(
+        self,
+        object_a: Any,
+        beta: Any,
+        machine_b: Any,
+        rho: Any,
+        arrow_c: Any,
+        readout: Callable[[Any], Any],
+    ):
+        self.__dict__.update(
+            object_a=object_a, beta=beta, machine_b=machine_b, rho=rho,
+            arrow_c=arrow_c, readout=readout,
+        )
 
 
-@dataclass(frozen=True)
-class DiagramReport:
-    results: tuple[tuple[Any, bool], ...]
-    passed: bool
-    first_failure: Any
-    exhaustive: bool
-    note: str
+class DiagramReport(Record):
+    def __init__(
+        self,
+        results: tuple[tuple[Any, bool], ...],
+        passed: bool,
+        first_failure: Any,
+        exhaustive: bool,
+        note: str,
+    ):
+        self.__dict__.update(
+            results=results, passed=passed, first_failure=first_failure,
+            exhaustive=exhaustive, note=note,
+        )
 
     def to_json(self) -> dict:
         return {

@@ -13,10 +13,10 @@ numpy.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .diagrams import CloningDiagram, DiagramInstance
 from .exact import ShapeError, _json_int
 
@@ -39,7 +39,8 @@ def isometry_defect(U: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity."""
     U = np.asarray(U, dtype=complex)
     gram = U.conj().T @ U
-    return float(np.max(np.abs(gram - np.eye(U.shape[1]))))
+    # a map with no columns is vacuously an isometry: its Gram matrix is empty
+    return float(np.max(np.abs(gram - np.eye(U.shape[1])), initial=0.0))
 
 
 def is_isometry(U: np.ndarray) -> bool:
@@ -74,16 +75,24 @@ def _as_state(v, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(Record):
     """Outcome of running the overlap argument against a candidate machine."""
 
-    overlap: complex                 # <psi, psi2>
-    preserved_overlap: complex       # <U(psi x beta x rho), U(psi2 x beta x rho)>
-    implied_machine_overlap: float   # |<f(psi), f(psi2)>| forced by cloning
-    cauchy_schwarz_excess: float     # implied overlap minus the unit bound
-    cloning_residual: float          # worst distance to the nearest legal clone
-    residual_per_state: tuple[float, float]
+    def __init__(
+        self,
+        overlap: complex,                # <psi, psi2>
+        preserved_overlap: complex,      # <U(psi x beta x rho), U(psi2 x beta x rho)>
+        implied_machine_overlap: float,  # |<f(psi), f(psi2)>| forced by cloning
+        cauchy_schwarz_excess: float,    # implied overlap minus the unit bound
+        cloning_residual: float,         # worst distance to the nearest legal clone
+        residual_per_state: tuple[float, float],
+    ):
+        self.__dict__.update(
+            overlap=overlap, preserved_overlap=preserved_overlap,
+            implied_machine_overlap=implied_machine_overlap,
+            cauchy_schwarz_excess=cauchy_schwarz_excess, cloning_residual=cloning_residual,
+            residual_per_state=residual_per_state,
+        )
 
     def to_json(self) -> dict:
         return {

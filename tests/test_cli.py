@@ -637,6 +637,23 @@ class TestNumpyFree:
             assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
             assert "needs numpy" in out.stderr
 
+    def test_start_up_loads_only_what_the_exact_commands_need(self, tmp_path):
+        basic = tmp_path / "basic.json"
+        basic.write_text(json.dumps(basic_cloner().to_json()))
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import symclone.cli\n"
+            "heavy = ['dataclasses', 'inspect', 'symclone.diagrams', 'numpy']\n"
+            "loaded = [name for name in heavy if name in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = symclone.cli.run(['diagram-check', '--instance', 'symp', '--input', sys.argv[1]])\n"
+            "print(json.dumps([loaded, code, 'symclone.diagrams' in sys.modules]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script, str(basic)], env=SRC_ENV,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [[], 0, True]
+
     def test_import_loads_no_numpy(self):
         out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import symclone.cli"],
                              env=SRC_ENV, capture_output=True, text=True, timeout=120)

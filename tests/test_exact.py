@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symclone import (
+    CloningProcess,
     DegenerateFormError,
     basic_cloner,
     general_cloner,
@@ -427,7 +427,10 @@ class TestHighBitKernels:
     def test_verify_reports_the_reference_defect(self, process):
         rows = process.phi.tolist()
         rows[7][2] += Fraction(3, 11)
-        perturbed = replace(process, phi=RatMatrix(rows))
+        perturbed = CloningProcess(
+            process.object_form, process.blank, process.machine_form, process.ready,
+            RatMatrix(rows), process.readout,
+        )
         xi = process.total_form()
         defect = oracle_defect(perturbed.phi, xi, xi).tolist()
         first = next((i, j, x) for i, row in enumerate(defect) for j, x in enumerate(row) if x)
@@ -703,7 +706,9 @@ class TestBlockKernel:
         rows = c.phi.tolist()
         for i, j, x in edits:
             rows[i % len(rows)][j % len(rows)] = x
-        perturbed = replace(c, phi=RatMatrix(rows))
+        perturbed = CloningProcess(
+            c.object_form, c.blank, c.machine_form, c.ready, RatMatrix(rows), c.readout
+        )
         xi = c.total_form()
         assert_skew_defect(perturbed.phi, xi, xi)
         assert verify_cloning(perturbed) == oracles.verify_cloning(perturbed)

@@ -1,11 +1,12 @@
-"""The package namespace: eager exact names, lazily served quantum names."""
+"""The package namespace: eager exact names, lazily served diagram and
+quantum names."""
 
 import pytest
 
 import symclone
 
-# Every public name `from symclone import *` gave before the quantum names
-# were served lazily (the four submodules included).
+# Every public name `from symclone import *` gave before the diagram and
+# quantum names were served lazily (the four submodules included).
 EXPORTS = (
     "AffineMap", "CloningDiagram", "CloningProcess", "CloningVerificationError",
     "DegenerateFormError", "DiagramInstance", "DiagramReport", "HypothesisViolationError",
@@ -35,12 +36,16 @@ def test_star_import_gives_the_same_names():
 
 
 def test_lazy_names_are_the_quantum_objects():
-    from symclone import quantum
+    # the diagram names are served the same way
+    from symclone import diagrams, quantum
 
     assert symclone.quantum is quantum
     assert symclone.refute_cloning is quantum.refute_cloning
     assert symclone.hilbert_instance is quantum.hilbert_instance
     assert symclone.hilbert_cloning_diagram is quantum.hilbert_cloning_diagram
+    assert symclone.diagrams is diagrams
+    assert symclone.check_cloning_diagram is diagrams.check_cloning_diagram
+    assert symclone.symplectic_instance is diagrams.symplectic_instance
 
 
 def test_unknown_name_raises_attribute_error():

@@ -83,6 +83,11 @@ class TestIsIsometry:
     def test_wide_matrix_can_never_be_an_isometry(self):
         assert not is_isometry(np.ones((2, 4)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+    def test_map_with_no_columns_is_vacuously_an_isometry(self, shape):
+        assert isometry_defect(np.zeros(shape)) == 0.0
+        assert is_isometry(np.zeros(shape))
+
     def test_preserves_inner_products_on_random_pairs(self):
         rng = np.random.default_rng(3)
         u = random_isometry(6, 4, rng)
