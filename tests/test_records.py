@@ -67,9 +67,9 @@ def test_record_semantics(cls):
     assert by_keyword == by_position
     assert hash(by_keyword) == hash(by_position)
     assert copy.copy(by_keyword) == by_keyword
-    # unequal to a record of another type and to the bare field values
-    other = next(c for c in RECORDS if c is not cls)
-    assert by_keyword != other(**RECORDS[other])
+    # unequal to another type holding the same values, a subclass included
+    derived = type("Derived", (cls,), {})
+    assert by_keyword != derived(**fields)
     assert by_keyword != tuple(fields.values())
 
     name, value = next(iter(fields.items()))
@@ -82,14 +82,6 @@ def test_record_semantics(cls):
 
     shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
     assert repr(by_keyword) == f"{cls.__name__}({shown})"
-
-
-def test_repr_is_the_dataclass_repr():
-    shown = (
-        "AffineMap(matrix=RatMatrix([['1', '0'], ['0', '1']]), "
-        "offset=(Fraction(1, 1), Fraction(1, 2)))"
-    )
-    assert repr(AffineMap(**RECORDS[AffineMap])) == shown
 
 
 def test_verification_report_defaults_to_no_defect_entry():
