@@ -53,5 +53,5 @@ print("object form against its partner:", w.pairing, "(nonzero -- contradiction)
 # a whole omega block of the constraint is structurally unreachable.
 for m in (1, 2, 3):
     best = clone_residual_probe(m, 0, iterations=2000, seed=1)
-    print(f"\nm={m}, k=0: best defect over 2000 tries = {best:.9f}"
+    print(f"\nm={m}, k=0: best defect over 2000 iterations = {best:.9f}"
           f"  (floor sqrt(2m) = {math.sqrt(2 * m):.9f})")

@@ -37,6 +37,7 @@ from .classical import (
     VerificationReport,
     basic_cloner,
     clone_residual_probe,
+    defect_floor,
     general_cloner,
     mirror_cloner,
     product_cloner,

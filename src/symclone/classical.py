@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -490,57 +489,143 @@ def size_witness(candidate: CloningProcess) -> SizeWitness:
     return SizeWitness(vector=w, pullback_row=pullback_row, partner=partner, pairing=pairing)
 
 
+# [[I, A], [I, -A]] with A = diag(1, 1/2) on R^2 x R^2: it copies exactly with
+# no machine, and its symplectic defect is diag(J, 0), of squared norm 2
+_NEAR_PHI = RatMatrix(
+    [[1, 0, 1, 0], [0, 1, 0, _HALF], [1, 0, -1, 0], [0, 1, 0, _MINUS_HALF]]
+)
+
+
+def defect_floor(m: int, k: int) -> tuple[CloningProcess, Fraction]:
+    """A copying process that attains the machine-size floor, and its exact
+    squared symplectic defect 2(m - k).
+
+    For k < m: k basic cloners and m - k machine-free near-cloners
+    [[I, A], [I, -A]] with A = diag(1, 1/2), side by side, so the object
+    has dimension 2m and the machine 2k.  phi copies exactly, and its
+    defect is the object form J on each near-cloner's object block and zero
+    elsewhere.  The squared Frobenius norm is read from ``symplectic_defect``;
+    it equals the square of the bound ``clone_residual_probe`` cannot beat,
+    so the bound is attained.
+    """
+    if m < 0 or k < 0:
+        raise ValueError("dimensions must be nonnegative")
+    if k >= m:
+        raise NotApplicableError(
+            f"k={k} >= m={m}: a true cloning process exists; use readout_solver instead"
+        )
+    near = CloningProcess(
+        object_form=standard_form(1),
+        blank=zero_vec(2),
+        machine_form=standard_form(0),
+        ready=(),
+        phi=_NEAR_PHI,
+        readout=RatMatrix.zeros(0, 2),
+    )
+    process = _assemble([basic_cloner()] * k + [near] * (m - k))
+    total = process.total_form()
+    defect = symplectic_defect(process.phi, total, total)
+    return process, sum((x * x for row in defect._nz for _, x in row), _ZERO)
+
+
 # L-BFGS-B's default stopping tolerances: factr (1e7) times machine epsilon
 # on the relative decrease, pgtol on the largest gradient entry
 _FTOL = 1e7 * sys.float_info.epsilon
 _GTOL = 1e-5
+# (step, gradient change) pairs each row's two-loop recursion keeps
+_HISTORY = 5
 
 
-def _lbfgs(objective, x: np.ndarray, maxiter: int) -> float:
-    """Lowest objective value L-BFGS (Nocedal, Math. Comp. 35, 1980) reaches from x.
+def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
+    """Lowest objective value L-BFGS (Nocedal, Math. Comp. 35, 1980) reaches
+    from each row of x.
 
-    The direction comes from the two-loop recursion over the last five
-    (step, gradient change) pairs; the step is the first of 1, 1/2, ... (20
-    halvings at most; 1/|grad| on the first iteration) meeting the Armijo
-    condition.  Stops like L-BFGS-B's defaults: after maxiter iterations, a
-    relative decrease <= _FTOL or max |grad| <= _GTOL.
+    ``objective`` maps an (r, n) stack of points to their r values and their
+    (r, n) gradients.  The rows run as one batch, but each follows its own
+    rules: the direction comes from the two-loop recursion over the row's
+    last five (step, gradient change) pairs with s.y > 0; the step is the
+    first of 1, 1/2, ... (20 halvings at most; 1/|grad| while the row has no
+    pair) meeting the Armijo condition.  A row stops like L-BFGS-B's
+    defaults, after maxiter iterations, a relative decrease <= _FTOL or max
+    |grad| <= _GTOL, or when its line search runs out, and then leaves the
+    batch.
     """
     import numpy as np
 
+    def dot(a, b):  # row by row
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    rows, n = x.shape
+    best = np.empty(rows)
+    live = np.arange(rows)  # the input row of each row still running
+    # One ring of _HISTORY + 1 slots for all rows: slot (head - j) % ring holds
+    # each row's j-th newest pair, and slot head takes the next one.  A slot
+    # never written has rho = 0, so the recursion passes it unchanged.  Each
+    # vector is a 1 x n matrix, so a batched matmul with a column takes the
+    # dot products of all rows at once.
+    ring = _HISTORY + 1
+    s_ring = np.zeros((ring, rows, 1, n))
+    y_ring = np.zeros((ring, rows, 1, n))
+    rho = np.zeros((ring, rows))  # 1 / y.s
+    gamma = np.ones(rows)  # rho y.y of the newest pair, 1 before the first
+    head = 0
     f, g = objective(x)
-    pairs: deque = deque(maxlen=5)  # (s, y, 1 / y.s)
+    value = f  # what each row returns if it stops here
+    stop = np.abs(g).max(axis=1) <= _GTOL
     for _ in range(maxiter):
-        if np.abs(g).max() <= _GTOL:
-            break
+        if stop.any():
+            best[live[stop]] = value[stop]
+            go = ~stop
+            live, x, f, g, gamma = live[go], x[go], f[go], g[go], gamma[go]
+            s_ring, y_ring, rho = s_ring[:, go], y_ring[:, go], rho[:, go]
+            if not live.size:
+                return best
+        slots = [(head - j) % ring for j in range(1, ring)]  # newest first
         q = g.copy()
+        q_row, q_col = q[:, None, :], q[:, :, None]
+        r = rho[:, :, None, None]
+        term = np.empty_like(q_row)  # one buffer for the recursion's updates
         alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * np.vdot(s, q))
-            q -= alphas[-1] * y
-        if pairs:
-            s, y, rho = pairs[-1]
-            q /= rho * np.vdot(y, y)
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * np.vdot(y, q)) * s
-        slope = -np.vdot(g, q)
-        step = 1.0 if pairs else 1.0 / math.sqrt(np.vdot(g, g))
-        for _ in range(21):
-            x_new = x - step * q
-            f_new, g_new = objective(x_new)
-            if f_new <= f + 1e-4 * step * slope:
+        for i in slots:
+            alphas.append(r[i] * np.matmul(s_ring[i], q_col))
+            q_row -= np.multiply(alphas[-1], y_ring[i], out=term)
+        q /= gamma[:, None]
+        for i, a in zip(reversed(slots), reversed(alphas)):
+            q_row += np.multiply(a - r[i] * np.matmul(y_ring[i], q_col), s_ring[i], out=term)
+        slope = -dot(g, q)
+        step = np.where(rho[slots[0]] > 0, 1.0, 1.0 / np.sqrt(dot(g, g)))
+        x_new = x - step[:, None] * q
+        f_new, g_new = objective(x_new)
+        short = ~(f_new <= f + 1e-4 * step * slope)
+        for _ in range(20):
+            i = np.flatnonzero(short)
+            if not i.size:
                 break
-            step /= 2
-        else:
-            break  # no sufficient decrease left at working precision
-        s, y = x_new - x, g_new - g
-        sy = np.vdot(s, y)
-        if sy > 0:
-            pairs.append((s, y, 1.0 / sy))
-        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+            step[i] /= 2
+            x_new[i] = x[i] - step[i, None] * q[i]
+            f_new[i], g_new[i] = objective(x_new[i])
+            short[i] = ~(f_new[i] <= f[i] + 1e-4 * step[i] * slope[i])
+        # a row still short has no sufficient decrease left at working precision
+        s = np.subtract(x_new, x, out=s_ring[head, :, 0])
+        y = np.subtract(g_new, g, out=y_ring[head, :, 0])
+        sy = dot(s, y)
+        kept = (sy > 0) & ~short
+        rho[head, kept] = 1.0 / sy[kept]
+        gamma[kept] = rho[head, kept] * dot(y, y)[kept]
+        i = np.flatnonzero(~kept)
+        if i.size:
+            # a row that keeps no pair turns its ring one slot on, so that
+            # its newest pair stays in slot head - 1 and slot head is free
+            s_ring[:, i] = np.roll(s_ring[:, i], 1, axis=0)
+            y_ring[:, i] = np.roll(y_ring[:, i], 1, axis=0)
+            rho[:, i] = np.roll(rho[:, i], 1, axis=0)
+        head = (head + 1) % ring
+        value = np.where(short, f, f_new)
+        decrease = (f - value) / np.maximum(np.maximum(np.abs(f), np.abs(value)), 1.0)
+        stop = short | (decrease <= _FTOL) | (np.abs(g_new).max(axis=1) <= _GTOL)
         x, f, g = x_new, f_new, g_new
-        if decrease <= _FTOL:
-            break
-    return f
+    best[live] = value
+    return best
 
 
 def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
@@ -551,17 +636,19 @@ def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
     pinned to (x, x), so those columns are (x, x, Fx) with the readout F
     free, and the remaining columns (action on the blank copy and the
     machine) are unconstrained.  L-BFGS with random restarts minimizes the
-    squared Frobenius norm of the symplectic defect, each restart stopping
-    after its share of the iterations, a relative decrease <= 2.2e-9 or a
-    largest gradient entry <= 1e-5 (the defaults of L-BFGS-B); returns the
-    norm of the best defect found.  Only the infeasible regime k < m is
-    accepted.
+    squared Frobenius norm of the symplectic defect.  The restarts run as one
+    batch, each by its own rules: it stops after its share of the
+    iterations, a relative decrease <= 2.2e-9, a largest gradient entry <=
+    1e-5 (the defaults of L-BFGS-B) or a failed line search, and then leaves
+    the batch.  Returns the norm of the best defect found.  Only the
+    infeasible regime k < m is accepted.
 
     The result is bounded below by sqrt(2(m - k)): with the copying columns
     pinned, the defect's object-object block is omega + F^T sigma F, whose
     second term has rank at most 2k, and every singular value of omega = J_m
     is 1, so by Eckart-Young-Mirsky the block is at least sqrt(2m - 2k) away
     from zero in Frobenius norm.  For k = 0 the block is omega itself.
+    ``defect_floor`` gives an exact map that attains the bound.
     """
     if m < 0 or k < 0:
         raise ValueError("dimensions must be nonnegative")
@@ -575,22 +662,35 @@ def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
 
     dm, dn = 2 * m, 2 * k
     d = 2 * dm + dn
-    xi = np.array(standard_form(2 * m + k).matrix.tolist(), dtype=float)  # J_m + J_m + J_k
+
+    def times_xi(phi: np.ndarray) -> np.ndarray:
+        # Xi = J_m + J_m + J_k is a signed permutation: row 2i of Xi phi is
+        # row 2i + 1 of phi, and row 2i + 1 is minus row 2i
+        a = np.empty_like(phi)
+        a[:, 0::2] = phi[:, 1::2]
+        np.negative(phi[:, 0::2], out=a[:, 1::2])
+        return a
+
+    xi = times_xi(np.eye(d)[None])[0]
     pinned = np.zeros((d, d))
     pinned[: 2 * dm, :dm] = np.tile(np.eye(dm), (2, 1))
     free = np.ones((d, d))
     free[: 2 * dm, :dm] = 0.0
+    grad_scale = -4.0 * free
 
-    def objective(phi: np.ndarray) -> tuple[float, np.ndarray]:
-        delta = phi.T @ xi @ phi - xi
-        # d/dphi ||phi^T Xi phi - Xi||^2, zero on the pinned entries
-        return float(np.sum(delta * delta)), free * (-4.0 * xi @ phi @ delta)
+    def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phi = x.reshape(-1, d, d)
+        a = times_xi(phi)
+        delta = np.matmul(phi.transpose(0, 2, 1), a)
+        delta -= xi
+        # d/dphi ||phi^T Xi phi - Xi||^2 = -4 Xi phi delta, zero on the pinned entries
+        grad = np.matmul(a, delta)
+        grad *= grad_scale
+        return np.einsum("rij,rij->r", delta, delta), grad.reshape(x.shape)
 
     rng = np.random.default_rng(seed)
     restarts = min(8, iterations)
     per_restart = max(1, iterations // restarts)
-    best = math.inf
-    for _ in range(restarts):
-        phi = pinned + free * rng.standard_normal((d, d))
-        best = min(best, _lbfgs(objective, phi, per_restart))
-    return math.sqrt(best)
+    # one draw of the stack gives the numbers of one draw per restart in turn
+    phi = pinned + free * rng.standard_normal((restarts, d, d))
+    return math.sqrt(_lbfgs(objective, phi.reshape(restarts, d * d), per_restart).min())

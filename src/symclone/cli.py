@@ -50,7 +50,10 @@ _MAX_REFUTE_DIM = 64
 _MAX_CONSTRUCT_DIM = 400
 # readout-solve emits a dense 2k x 2m readout: 160,000 entries at 200
 _MAX_READOUT_PAIRS = 200
-# probe runs L-BFGS on dense (4m + 2k)-square float matrices: 96 x 96 at 16
+# probe runs its 8 L-BFGS restarts as one batch on dense (4m + 2k)-square
+# float matrices: 94 x 94 at m = 16, k = 15, where each restart's last five
+# (step, gradient change) pairs, plus one slot for the next pair, take about
+# 7 MB
 _MAX_PROBE_PAIRS = 16
 # diagram-check --instance hilb draws and checks each sampled state in a
 # Python loop: about 0.25 ms a state for the CNOT file on a 2-vCPU VM, so
@@ -219,6 +222,12 @@ def _cmd_probe(args) -> int:
             f"--m and --k must be at most {_MAX_PROBE_PAIRS} "
             "(the search runs on dense (4m + 2k)-square matrices)"
         )
+    # numpy's default_rng would reject a negative seed without naming the
+    # option, and the probe an iteration count below one
+    if args.seed < 0:
+        raise CliError("--seed must be nonnegative")
+    if args.iters < 1:
+        raise CliError("--iters must be at least 1")
     best = clone_residual_probe(args.m, args.k, args.iters, args.seed)
     out = {"best_defect": best, "forced_lower_bound": math.sqrt(2 * (args.m - args.k)),
            "m": args.m, "k": args.k, "iters": args.iters, "seed": args.seed}

@@ -16,7 +16,11 @@ formula, G^-1 = J (G^T omega).
 ``shuffle_permutation`` gives the block shuffle that the product
 constructors' phi is conjugated by.  ``pair`` evaluates a skew form on two
 vectors, and ``complex_matrix_to_json`` writes a complex matrix in the layout
-of Hilbert diagram files; the program needs neither.
+of Hilbert diagram files; the program needs neither.  ``lbfgs`` and
+``clone_residual_probe`` are the residual probe as it ran before its
+restarts were batched: one L-BFGS run per restart, one after another, and
+Xi applied by a dense product.  Each row of the batched ``classical._lbfgs``
+must reach what ``lbfgs`` reaches from that row alone.
 """
 
 from __future__ import annotations
@@ -346,3 +350,80 @@ def check_traditional_diagram(
         exhaustive=instance.exhaustive,
         note="machine-free diagram",
     )
+
+
+def lbfgs(objective, x, maxiter: int) -> float:
+    """One L-BFGS run from the vector x, as the probe ran its restarts one
+    after another: ``objective`` maps a point to its value and gradient, and
+    the rules are those of ``classical._lbfgs`` for a single row."""
+    import math
+    from collections import deque
+
+    import numpy as np
+
+    from symclone.classical import _FTOL, _GTOL
+
+    f, g = objective(x)
+    pairs: deque = deque(maxlen=5)  # (s, y, 1 / y.s)
+    for _ in range(maxiter):
+        if np.abs(g).max() <= _GTOL:
+            break
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * np.vdot(s, q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            q /= rho * np.vdot(y, y)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * np.vdot(y, q)) * s
+        slope = -np.vdot(g, q)
+        step = 1.0 if pairs else 1.0 / math.sqrt(np.vdot(g, g))
+        for _ in range(21):
+            x_new = x - step * q
+            f_new, g_new = objective(x_new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step /= 2
+        else:
+            break  # no sufficient decrease left at working precision
+        s, y = x_new - x, g_new - g
+        sy = np.vdot(s, y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= _FTOL:
+            break
+    return f
+
+
+def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
+    """The residual probe with its restarts run one after another through
+    ``lbfgs``, each on its own d x d matrix, and Xi applied by a dense
+    product; arguments are not checked."""
+    import math
+
+    import numpy as np
+
+    dm, dn = 2 * m, 2 * k
+    d = 2 * dm + dn
+    xi = np.array(standard_form(2 * m + k).matrix.tolist(), dtype=float)
+    pinned = np.zeros((d, d))
+    pinned[: 2 * dm, :dm] = np.tile(np.eye(dm), (2, 1))
+    free = np.ones((d, d))
+    free[: 2 * dm, :dm] = 0.0
+
+    def objective(phi):
+        delta = phi.T @ xi @ phi - xi
+        return float(np.sum(delta * delta)), free * (-4.0 * xi @ phi @ delta)
+
+    rng = np.random.default_rng(seed)
+    restarts = min(8, iterations)
+    per_restart = max(1, iterations // restarts)
+    best = math.inf
+    for _ in range(restarts):
+        phi = pinned + free * rng.standard_normal((d, d))
+        best = min(best, lbfgs(objective, phi, per_restart))
+    return math.sqrt(best)

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from symclone import (
     basic_cloner,
     clone_residual_probe,
     darboux_basis,
+    defect_floor,
     direct_sum,
     general_cloner,
     is_symplectic_map,
@@ -605,10 +607,21 @@ class TestResidualProbe:
 
     @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (4, 2)])
     def test_reaches_the_rank_bound(self, m, k):
-        # the least defect with a 2k-dimensional machine is sqrt(2(m - k)):
-        # the search must find it, not merely stay above it
+        # the least defect with a 2k-dimensional machine is the one
+        # defect_floor attains exactly: the search must find it, not merely
+        # stay above it
+        floor = math.sqrt(defect_floor(m, k)[1])
         best = clone_residual_probe(m, k, 5000, seed=0)
-        assert math.sqrt(2 * (m - k)) - 1e-6 <= best <= math.sqrt(2 * (m - k)) + 1e-6
+        assert floor - 1e-6 <= best <= floor + 1e-6
+
+    @pytest.mark.parametrize("m,k", [(1, 0), (2, 0), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("iterations", [1, 9, 200, 2000])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_agrees_with_restarts_run_in_turn(self, m, k, iterations, seed):
+        # the batch sums in another order than one restart at a time, so the
+        # results agree to rounding, not bit for bit
+        best = clone_residual_probe(m, k, iterations, seed)
+        assert best == pytest.approx(oracles.clone_residual_probe(m, k, iterations, seed), rel=1e-6)
 
     def test_runs_without_scipy(self):
         code = (
@@ -633,6 +646,93 @@ class TestResidualProbe:
     def test_bad_iterations_rejected(self):
         with pytest.raises(ValueError):
             clone_residual_probe(2, 0, 0, seed=0)
+
+
+def _tagged_objective(x):
+    """Rows (tag, z1, z2): the tag picks the function of z, and its gradient
+    entry is zero, so no step changes it."""
+    f, g = np.empty(len(x)), np.zeros_like(x)
+    for r, (tag, a, b) in enumerate(x):
+        if tag in (0, 1):  # |z|^2 plus 1, or plus 1e12
+            f[r] = (1.0 if tag == 0 else 1e12) + a * a + b * b
+            g[r, 1:] = 2 * a, 2 * b
+        elif tag == 2:  # Rosenbrock
+            f[r] = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+            g[r, 1:] = -2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)
+        elif tag == 3:  # |z|^2 with its gradient reversed
+            f[r] = a * a + b * b
+            g[r, 1:] = -2 * a, -2 * b
+        elif tag == 4:  # an ill-conditioned quadratic
+            f[r] = a * a + 10 * b * b
+            g[r, 1:] = 2 * a, 20 * b
+        else:  # cos z1 + cos z2, which curves down near 0
+            f[r] = math.cos(a) + math.cos(b)
+            g[r, 1:] = -math.sin(a), -math.sin(b)
+    return f, g
+
+
+class TestBatchedLbfgs:
+    """Each row of the batch runs by its own rules, as if it ran alone."""
+
+    STARTS = [[0, 0, 0], [1, 1, 1], [2, -1.2, 1], [3, 1, 2], [4, 1, 1], [5, 0.3, 0.2]]
+
+    @staticmethod
+    def alone(row, maxiter):
+        def objective(z):
+            f, g = _tagged_objective(z[None])
+            return f[0], g[0]
+
+        return oracles.lbfgs(objective, np.array(row, dtype=float), maxiter)
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 12, 40])
+    def test_rows_match_their_runs_alone(self, maxiter):
+        got = classical._lbfgs(_tagged_objective, np.array(self.STARTS, dtype=float), maxiter)
+        want = [self.alone(row, maxiter) for row in self.STARTS]
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_rows_stop_for_different_reasons(self):
+        stationary, ftol, maxiter, uphill, gtol, curved = self.STARTS
+        # max |grad| <= _GTOL before the first step: the start is returned
+        assert self.alone(stationary, 12) == 1.0
+        # the first step lowers 1e12 + |z|^2 by less than _FTOL relative
+        assert self.alone(ftol, 1) == self.alone(ftol, 40) < 1e12 + 2
+        # Rosenbrock from (-1.2, 1) is still descending after 12 iterations
+        assert self.alone(maxiter, 13) < self.alone(maxiter, 12)
+        # every trial step goes uphill: 21 trials fail and the start is returned
+        assert self.alone(uphill, 12) == 5.0
+        # the quadratic converges to its gradient tolerance within 12
+        assert self.alone(gtol, 12) == self.alone(gtol, 40) < 1e-10
+        # the first step of the cos row (length 1 along -grad, accepted)
+        # stays in |z| < pi/2, where cos curves down, so its pair has
+        # s.y < 0 and is not kept: the row's ring turns without it
+        z = np.array(curved[1:])
+        new = z + np.sin(z) / np.linalg.norm(np.sin(z))
+        assert np.cos(new).sum() < np.cos(z).sum() and np.abs(new).max() < math.pi / 2
+        assert (new - z) @ (np.sin(z) - np.sin(new)) < 0
+
+
+class TestDefectFloor:
+    @pytest.mark.parametrize("m,k", [(m, k) for m in range(1, 6) for k in range(m)])
+    def test_squared_defect_is_exactly_the_floor(self, m, k):
+        process, squared = defect_floor(m, k)
+        assert squared == 2 * (m - k)
+        assert (process.object_dim, process.machine_dim) == (2 * m, 2 * k)
+        # the copying columns are (x, x, Fx): a point of the probe's search space
+        dm = 2 * m
+        grid = process.phi.tolist()
+        eye = RatMatrix.identity(dm).tolist()
+        assert [row[:dm] for row in grid[: 2 * dm]] == eye + eye
+        assert [row[:dm] for row in grid[2 * dm :]] == process.readout.tolist()
+        # the squared defect again, from the dense reference product
+        total = process.total_form().matrix
+        pushed = oracles.matmul(oracles.matmul(process.phi.T, total), process.phi)
+        assert sum((x - y) ** 2 for a, b in zip(pushed.tolist(), total.tolist()) for x, y in zip(a, b)) == squared
+
+    def test_outside_the_infeasible_regime_is_rejected(self):
+        with pytest.raises(NotApplicableError):
+            defect_floor(2, 2)
+        with pytest.raises(ValueError):
+            defect_floor(2, -1)
 
 
 class TestProcessSerialization:

@@ -228,6 +228,22 @@ class TestProbe:
         assert out == ""
         assert err == "error: dimensions must be nonnegative\n"
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--seed", "-1", "--seed must be nonnegative"),
+            ("--iters", "0", "--iters must be at least 1"),
+            ("--iters", "-5", "--iters must be at least 1"),
+        ],
+    )
+    def test_negative_seed_or_no_iterations_is_a_usage_error(self, capsys, option, value, message):
+        # the seed reached numpy, which named no option; the count reached
+        # the probe, which said "iterations"
+        code, out, err = run_capture(capsys, "probe", "--m", "2", "--k", "1", option, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestInputCaps:
     """Sizes above a cap exit 2 with one line; nothing is allocated, since

@@ -12,7 +12,7 @@ EXPORTS = (
     "DegenerateFormError", "DiagramInstance", "DiagramReport", "HypothesisViolationError",
     "InfeasibleError", "NotApplicableError", "RatMatrix", "Refutation", "ShapeError",
     "SizeWitness", "SkewForm", "VerificationReport", "basic_cloner", "basis_cloner",
-    "check_cloning_diagram", "classical", "clone_residual_probe", "darboux_basis",
+    "check_cloning_diagram", "classical", "clone_residual_probe", "darboux_basis", "defect_floor",
     "diagram_from_process", "diagrams", "direct_sum", "exact", "form_kernel",
     "general_cloner", "hilbert_cloning_diagram", "hilbert_instance", "is_isometry",
     "is_symplectic_map", "kron", "mirror_cloner", "product_cloner", "quantum",
