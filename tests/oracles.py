@@ -17,10 +17,10 @@ formula, G^-1 = J (G^T omega).
 constructors' phi is conjugated by.  ``pair`` evaluates a skew form on two
 vectors, and ``complex_matrix_to_json`` writes a complex matrix in the layout
 of Hilbert diagram files; the program needs neither.  ``lbfgs`` and
-``clone_residual_probe`` are the residual probe as it ran before its
-restarts were batched: one L-BFGS run per restart, one after another, and
-Xi applied by a dense product.  Each row of the batched ``classical._lbfgs``
-must reach what ``lbfgs`` reaches from that row alone.
+``clone_residual_probe`` run the residual probe's restarts one after
+another, one L-BFGS run each, with Xi applied by a dense product; each row
+of the batched ``classical._lbfgs`` must reach what ``lbfgs`` reaches from
+that row alone.
 """
 
 from __future__ import annotations
