@@ -477,16 +477,25 @@ def size_witness(candidate: CloningProcess) -> SizeWitness:
         raise NotApplicableError(
             f"machine dim {dn} >= object dim {dm}; the size bound does not bite"
         )
-    kern = form_kernel(candidate.readout)
+    F = candidate.readout
     # rank(F) <= 2k < 2m guarantees a kernel vector
-    w = kern[0]
-    pullback = candidate.readout.T @ candidate.machine_form.matrix @ candidate.readout
-    pullback_row = pullback._apply(w)
+    w = form_kernel(F)[0]
+    pullback_row = F.T._apply(candidate.machine_form.matrix._apply(F._apply(w)))
     omega_w = candidate.object_form.matrix._apply(w)
     j = next(i for i, x in enumerate(omega_w) if x)
     partner = tuple(Fraction(i == j) for i in range(dm))
     pairing = omega_w[j]  # omega(partner, w), partner being basis vector j
     return SizeWitness(vector=w, pullback_row=pullback_row, partner=partner, pairing=pairing)
+
+
+def _check_undersized(m: int, k: int) -> None:
+    """Raise unless 0 <= k < m: the pair counts of an undersized machine."""
+    if m < 0 or k < 0:
+        raise ValueError("dimensions must be nonnegative")
+    if k >= m:
+        raise NotApplicableError(
+            f"k={k} >= m={m}: a true cloning process exists; use readout_solver instead"
+        )
 
 
 # [[I, A], [I, -A]] with A = diag(1, 1/2) on R^2 x R^2: it copies exactly with
@@ -508,12 +517,7 @@ def defect_floor(m: int, k: int) -> tuple[CloningProcess, Fraction]:
     it equals the square of the bound ``clone_residual_probe`` cannot beat,
     so the bound is attained.
     """
-    if m < 0 or k < 0:
-        raise ValueError("dimensions must be nonnegative")
-    if k >= m:
-        raise NotApplicableError(
-            f"k={k} >= m={m}: a true cloning process exists; use readout_solver instead"
-        )
+    _check_undersized(m, k)
     near = CloningProcess(
         object_form=standard_form(1),
         blank=zero_vec(2),
@@ -650,12 +654,7 @@ def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
     from zero in Frobenius norm.  For k = 0 the block is omega itself.
     ``defect_floor`` gives an exact map that attains the bound.
     """
-    if m < 0 or k < 0:
-        raise ValueError("dimensions must be nonnegative")
-    if k >= m:
-        raise NotApplicableError(
-            f"k={k} >= m={m}: a true cloning process exists; use readout_solver instead"
-        )
+    _check_undersized(m, k)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     import numpy as np

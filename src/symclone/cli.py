@@ -6,10 +6,10 @@ witness is produced), 2 on usage, parse, or shape errors, and when standard
 output is closed before the report is written.  ``_load`` is the only reader
 of input files: a file that cannot be opened (missing, a directory, a path
 through a file), is not UTF-8, is not JSON (nested too deeply, an integer
-past Python's digit limit) or is not a valid document (a NaN, an infinity or
-a boolean among Hilbert amplitudes, a Hilbert unitary that is not an
-isometry or a state that is not a unit vector) gives one ``error: <path>:
-...`` line.
+past Python's digit limit) or is not a valid document (a decimal exponent
+past that limit, a Hilbert file that breaks the rules of
+``quantum.hilbert_diagram_from_json``) gives one ``error: <path>: ...`` line.
+The digit limit holds only while ``_load`` parses, not for reports.
 Every symclone error is a ``ValueError``, and ``run`` alone maps errors to
 exit 2.  Reports are deterministic for fixed arguments and seed.
 
@@ -59,6 +59,7 @@ _MAX_PROBE_PAIRS = 16
 # Python loop: about 0.25 ms a state for the CNOT file on a 2-vCPU VM, so
 # 2.5 s at 10,000, and more for a larger unitary
 _MAX_HILBERT_SAMPLES = 10_000
+_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7 and 3.11 on
 
 
 def _dumps(doc, indent: str = "\n") -> str:
@@ -120,10 +121,11 @@ def _cmd_construct_general(args) -> int:
 def _load(path: str, parse):
     """Read a JSON input file and run ``parse`` on it, the one place the CLI
     reads input; every way the file fails to be a document becomes a CliError
-    naming the path."""
+    naming the path.  The int digit limit guards the parse alone, and is
+    lifted for the report (``run`` restores it)."""
     try:
         with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON is UTF-8
-            return parse(json.load(fh))
+            doc = parse(json.load(fh))
     except OSError as exc:  # missing, a directory, a path through a file
         raise CliError(f"{path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
@@ -134,6 +136,9 @@ def _load(path: str, parse):
         raise CliError(f"{path}: missing or malformed field: {exc}")
     except ValueError as exc:  # the symclone errors, UnicodeDecodeError, int digit limit
         raise CliError(f"{path}: {exc}")
+    if _DIGIT_LIMIT:
+        sys.set_int_max_str_digits(0)
+    return doc
 
 
 def _cmd_verify(args) -> int:
@@ -235,36 +240,6 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def _hilbert_diagram(data: dict):
-    """The Hilbert diagram of an input file, whose unitary must be an
-    isometry and whose beta and rho must be unit vectors: amplitudes near the
-    double range would otherwise overflow in the check and give a verdict
-    computed on inf and NaN."""
-    import numpy as np
-
-    from .quantum import (
-        _as_state,
-        complex_matrix_from_json,
-        complex_vector_from_json,
-        hilbert_cloning_diagram,
-        is_isometry,
-    )
-
-    inst, diagram = hilbert_cloning_diagram(
-        complex_matrix_from_json(data["unitary"]),
-        complex_vector_from_json(data["beta"]),
-        complex_vector_from_json(data["rho"]) if "rho" in data else None,
-    )
-    # an overflow makes the isometry defect or the norm inf or NaN, which
-    # fails the check below; numpy need not warn about it as well
-    with np.errstate(over="ignore", invalid="ignore"):
-        _as_state(diagram.beta, "beta")
-        _as_state(diagram.rho, "rho")
-        if not is_isometry(diagram.arrow_c):
-            raise ValueError("unitary is not an isometry at the module tolerance")
-    return inst, diagram
-
-
 def _cmd_diagram_check(args) -> int:
     # imported here, not at module level: no other command needs the module
     from .diagrams import check_cloning_diagram, diagram_from_process
@@ -285,7 +260,9 @@ def _cmd_diagram_check(args) -> int:
             )
         import numpy as np
 
-        inst, diagram = _load(args.input, _hilbert_diagram)
+        from .quantum import hilbert_diagram_from_json
+
+        inst, diagram = _load(args.input, hilbert_diagram_from_json)
         states = inst.sample_states(diagram.object_a, count=args.samples,
                                     rng=np.random.default_rng(args.seed))
         report = check_cloning_diagram(inst, diagram, states)
@@ -363,6 +340,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else 0  # _load lifts it
     try:
         return _HANDLERS[args.command](args)
     except (CliError, ValueError) as exc:  # ValueError: every symclone error class
@@ -376,6 +354,9 @@ def run(argv: list[str] | None = None) -> int:
         what = "diagram-check --instance hilb" if args.command == "diagram-check" else args.command
         print(f"error: {what} needs numpy, which is not installed", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if _DIGIT_LIMIT:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

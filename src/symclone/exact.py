@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
@@ -42,6 +43,8 @@ class DegenerateFormError(ValueError):
 # a canonical rational "p" or "p/q": what str(Fraction) writes, and all
 # that the constructor needs to parse it
 _CANONICAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
+# a trailing decimal exponent, which Fraction(str) raises ten to before any check
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _frac(x) -> Fraction:
@@ -51,6 +54,13 @@ def _frac(x) -> Fraction:
         p, q = m.groups()
         f = Fraction(int(p), int(q)) if q else Fraction(int(p))
     elif isinstance(x, (int, str)) and not isinstance(x, bool):
+        if isinstance(x, str) and (m := _EXPONENT.search(x)):
+            # refuse an exponent past the int digit limit, as int() refuses that
+            # many digits (0: no limit; Pythons without one get the default)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+            digits = m[1].replace("_", "").lstrip("0")  # may be too long for int()
+            if limit and (len(digits) > len(str(limit)) or int(digits or 0) > limit):
+                raise ValueError(f"entry exponent past the {limit}-digit integer limit")
         f = Fraction(x)
     else:
         raise TypeError(f"expected an exact rational entry, got {type(x).__name__}")
@@ -184,24 +194,6 @@ def _scatter(terms, lo: int, cols: int) -> tuple[tuple[int, int], ...]:
         for j, v in b:
             acc[j] += a * v
     return tuple((j, acc[j]) for j in compress(range(lo, cols), acc[lo:]))
-
-
-def _int_sum(den: int, terms, cols: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Integer row of (sum of a * b) / den over the terms ``(a, b)``, with b
-    an integer row; the denominator is den times the lcm of the b rows'."""
-    terms = [(a, b) for a, b in terms if b[1]]
-    lcm = math.lcm(*[db for _, (db, _) in terms])
-    return den * lcm, _scatter([(a * (lcm // db), b) for a, (db, b) in terms], 0, cols)
-
-
-def _int_product(arows, brows, cols: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Integer rows of A @ B, from the integer rows of A and B.
-
-    Row by row (Gustavson): only nonzero entries are multiplied, and the
-    denominator of an output row is the A row's times the lcm of the B rows
-    it touches.
-    """
-    return [_int_sum(den, [(a, brows[k]) for k, a in anz], cols) for den, anz in arows]
 
 
 def _dense(rows, cols: int) -> list[list[int]]:
@@ -363,8 +355,16 @@ class RatMatrix:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         if not (self.cols and other.cols):
             return RatMatrix.zeros(self.rows, other.cols)
-        rows = _int_product(_int_rows(self), _int_rows(other), other.cols)
-        return RatMatrix._raw(tuple(_fraction_row(den, nz) for den, nz in rows), other.cols)
+        # row by row (Gustavson), on integer rows: an output row's denominator
+        # is the A row's times the lcm of the B rows it touches
+        brows = _int_rows(other)
+        out = []
+        for den, anz in _int_rows(self):
+            terms = [(a, brows[k]) for k, a in anz if brows[k][1]]
+            lcm = math.lcm(*[db for _, (db, _) in terms])
+            nums = _scatter([(a * (lcm // db), b) for a, (db, b) in terms], 0, other.cols)
+            out.append(_fraction_row(den * lcm, nums))
+        return RatMatrix._raw(tuple(out), other.cols)
 
     def apply(self, v: Sequence) -> RatVector:
         return self._apply(vec(v))
@@ -419,20 +419,18 @@ class RatMatrix:
         return len(_forward(_dense(_int_rows(self), self.cols), self.cols))
 
     def inverse(self) -> "RatMatrix":
+        """The inverse: the right half of ``rref()`` on [A | I].  Raises
+        DegenerateFormError when A is singular."""
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
-        rows = _int_rows(self)
-        m = _dense(rows, 2 * n)
-        for i, (den, _) in enumerate(rows):
-            m[i][n + i] = den  # [A | I], row i scaled by den
-        pivots = _forward(m, 2 * n)
+        red, pivots = RatMatrix._raw(
+            tuple(row + ((n + i, _ONE),) for i, row in enumerate(self._nz)), 2 * n
+        ).rref()
         if pivots[:n] != list(range(n)):
             raise DegenerateFormError("matrix is singular")
-        _back(m, pivots)
-        return RatMatrix._raw(
-            tuple(_fraction_row(m[r][r], enumerate(m[r][n:])) for r in range(n)), n
-        )
+        # row r of the left half is e_r, its only entry before column n
+        return RatMatrix._raw(tuple(tuple((j - n, x) for j, x in row[1:]) for row in red._nz), n)
 
     # -- serialization -----------------------------------------------------
 

@@ -4,10 +4,10 @@ Complex double-precision throughout.  The refuter never constructs the
 would-be machine readout; it exhibits the overlap contradiction that the
 existence of a copying isometry would force, plus a concrete distance from
 the machine's actual output to the nearest legal clone.  The Hilbert-space
-instance of the generic diagram checker (``hilbert_instance``,
-``hilbert_cloning_diagram``) is here too: this module and
-``classical.clone_residual_probe`` are the only parts of symclone that load
-numpy.
+instance of the diagram checker (``hilbert_instance``, ``hilbert_cloning_diagram``
+and the reader of its file, ``hilbert_diagram_from_json``) is here too: this
+module and ``classical.clone_residual_probe`` are the only parts of symclone
+that load numpy.
 """
 
 from __future__ import annotations
@@ -221,6 +221,25 @@ def complex_vector_from_json(entries) -> np.ndarray:
     return np.array([_json_complex(z) for z in entries], dtype=complex)
 
 
+def hilbert_diagram_from_json(data: dict) -> tuple[DiagramInstance, CloningDiagram]:
+    """The Hilbert diagram of a ``{"unitary", "beta", "rho"?}`` file, whose
+    unitary must be an isometry and beta and rho unit vectors: amplitudes near
+    the double range would otherwise overflow into a verdict on inf and NaN."""
+    inst, diagram = hilbert_cloning_diagram(
+        complex_matrix_from_json(data["unitary"]),
+        complex_vector_from_json(data["beta"]),
+        complex_vector_from_json(data["rho"]) if "rho" in data else None,
+    )
+    # an overflow makes the isometry defect or the norm inf or NaN, which
+    # fails the check below; numpy need not warn about it as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        _as_state(diagram.beta, "beta")
+        _as_state(diagram.rho, "rho")
+        if not is_isometry(diagram.arrow_c):
+            raise ValueError("unitary is not an isometry at the module tolerance")
+    return inst, diagram
+
+
 # ---------------------------------------------------------------------------
 # the Hilbert-space diagram instance
 
@@ -268,8 +287,8 @@ def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInsta
 
     The readout f is induced: f(psi) is the normalized projection of
     U(psi x beta x rho) onto the psi x psi x K slice, so the diagram commutes
-    at psi exactly when U clones psi.  If the projection vanishes, f falls
-    back to the first machine basis state.
+    at psi exactly when U clones psi.  Below a norm of FLOAT_TOL, f falls back
+    to the first machine basis state.
     """
     U = np.asarray(U, dtype=complex)
     beta = np.asarray(beta, dtype=complex).reshape(-1)
@@ -286,7 +305,7 @@ def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInsta
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         amps = slice_amplitudes(U, psi, beta, rho)
         norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
+        if norm < FLOAT_TOL:
             return np.eye(dk)[:, 0].astype(complex)
         return amps / norm
 

@@ -586,6 +586,10 @@ class TestSizeWitness:
         w = size_witness(cand)
         assert all(x == 0 for x in cand.readout.apply(w.vector))
         assert w.pairing != 0
+        # the row is F^T sigma F applied to w, the pullback never formed
+        F = cand.readout
+        pullback = oracles.matmul(oracles.matmul(F.T, cand.machine_form.matrix), F)
+        assert w.pullback_row == pullback.apply(w.vector)
 
     def test_equal_dims_not_applicable(self):
         cand = _undersized_candidate(1, 1, RatMatrix.identity(2))

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -411,7 +412,8 @@ class TestContract:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "fault", ["directory", "path through a file", "not UTF-8", "nested 100,000 deep", "5,000-digit integer"]
+        "fault", ["directory", "path through a file", "not UTF-8", "nested 100,000 deep", "5,000-digit integer",
+                  "exponent past the digit limit"]
     )
     def test_unreadable_input_names_the_file(self, tmp_path, capsys, fault):
         path = tmp_path / "in.json"
@@ -424,8 +426,12 @@ class TestContract:
             path.write_bytes(b'{"rows": "\xff"}')
         elif fault == "nested 100,000 deep":
             path.write_text("[" * 100_000 + "]" * 100_000)
-        else:  # past Python's 4,300-digit limit on int parsing
+        elif fault == "5,000-digit integer":  # past Python's 4,300-digit limit on int parsing
             path.write_text('{"rows": ' + "1" * 5000 + "}")
+        else:  # Fraction(str) takes 11 s on it, on a 2-vCPU VM
+            data = basic_cloner().to_json()
+            data["phi"]["entries"][0][1] = "1e10000000"
+            path.write_text(json.dumps(data))
         code, out, err = run_capture(capsys, "verify", "--input", str(path))
         assert code == 2
         assert out == ""
@@ -530,6 +536,83 @@ class TestContract:
         code, out, _ = run_capture(capsys, "--format", "human", "readout-solve", "--m", "1", "--k", "2")
         assert code == 0
         assert "readout map found" in out
+
+    @pytest.mark.parametrize(
+        "argv, code, prose",
+        [
+            (["construct-basic"], 0, ["basic cloning process on R^2, machine R^2, phi 6x6"]),
+            (["construct-general", "--dim", "6"], 0,
+             ["cloning process on the standard 6-dimensional space, machine dim 6"]),
+            (["verify", "--input", "basic"], 0, ["verdict: pass"]),
+            (["verify", "--input", "perturbed"], 1,
+             ["verdict: fail", "reason: first copy wrong on basis state 0",
+              "symplectic defect (max abs): 1", "cloning residual (max abs): 1"]),
+            (["darboux", "--input", "form"], 0,
+             ["normalizing basis computed; exact standard pullback: True"]),
+            (["readout-solve", "--m", "2", "--k", "1"], 1,
+             ["infeasible: infeasible (rank): F maps a 2m=4 dimensional space into 2k=2 "
+              "dimensions; a nondegenerate pullback needs an injective F"]),
+            (["size-witness", "--input", "undersized"], 1,
+             ["machine too small: readout kernel vector (0, 0, 1, 0, 0, 0)",
+              "object form pairs it with a partner to -1 != 0, "
+              "but the machine-form pullback vanishes on it"]),
+            (["quantum-refute", "--dim", "3"], 1,
+             ["cloning both states would force machine overlap 1.41421",
+              "Cauchy-Schwarz excess: 0.414214", "distance to nearest exact clone: 0.765367"]),
+            (["probe", "--m", "1", "--k", "0", "--iters", "100"], 0,
+             ["best symplectic defect found: 1.41421"]),
+            (["diagram-check", "--instance", "symp", "--input", "basic"], 0,
+             ["diagram commutes on 3/3 sampled states",
+              "sample decides the condition (affine arrows, basis plus zero)"]),
+            (["diagram-check", "--instance", "hilb", "--input", "hilb"], 1,
+             ["diagram commutes on 2/10 sampled states",
+              "sample is evidence only; the condition quantifies over all unit vectors"]),
+        ],
+        ids=["construct-basic", "construct-general", "verify pass", "verify fail", "darboux",
+             "readout-solve", "size-witness", "quantum-refute", "probe", "diagram-check symp",
+             "diagram-check hilb"],
+    )
+    def test_human_format_of_every_command(self, tmp_path, capsys, argv, code, prose):
+        perturbed = basic_cloner().to_json()
+        perturbed["phi"]["entries"][0][0] = "2"
+        documents = {
+            "basic": basic_cloner().to_json(),
+            "perturbed": perturbed,
+            "form": random_skew_form(6, random.Random(6)).to_json(),
+            "undersized": symclone.defect_floor(3, 1)[0].to_json(),
+            "hilb": {"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]},
+        }
+        if "--input" in argv:
+            i = argv.index("--input") + 1
+            path = tmp_path / f"{argv[i]}.json"
+            path.write_text(json.dumps(documents[argv[i]]))
+            argv = argv[:i] + [str(path)] + argv[i + 1 :]
+        assert run_capture(capsys, "--format", "human", *argv) == (code, "".join(f"{x}\n" for x in prose), "")
+
+    def test_verified_negative_with_long_integers_exits_one(self, tmp_path, capsys):
+        # 4,000 digits parse under the 4,300-digit limit, but the defect and
+        # residual they give are longer; the report used to hit the limit
+        # when written (exit 2, with a message naming no file)
+        data = basic_cloner().to_json()
+        data["phi"]["entries"][0][1] = data["phi"]["entries"][1][0] = "7" * 4000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_capture(capsys, "verify", "--input", str(path))
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["verdict"] == "fail" and len(report["symplectic_defect_norm"]) > limit
+        code, out, err = run_capture(capsys, "--format", "human", "verify", "--input", str(path))
+        assert (code, err) == (1, "")
+        assert out.startswith("verdict: fail\n")
+        assert sys.get_int_max_str_digits() == limit  # the lift ends with the command
+
+    def test_cli_imports_no_private_name(self):
+        tree = ast.parse(Path(symclone.cli.__file__).read_text(encoding="utf-8"))
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+        assert "verify_cloning" in names
+        assert [name for name in names if name.startswith("_")] == []
 
 
 # Runs exact commands through cli.run in an interpreter where importing numpy

@@ -26,7 +26,8 @@ from symclone import (
 )
 from symclone import diagrams
 from conftest import random_skew_form
-from oracles import check_traditional_diagram
+from symclone.quantum import hilbert_diagram_from_json
+from oracles import check_traditional_diagram, complex_matrix_to_json
 
 
 class TestInstanceCoherence:
@@ -284,3 +285,23 @@ class TestHilbertDiagram:
 
         with pytest.raises(ShapeError):
             hilbert_cloning_diagram(np.eye(3), beta=[1.0, 0.0])
+
+    def test_readout_falls_back_below_the_module_tolerance(self):
+        # the identity on C^2 x C^2 x C^2 maps psi x e1 x e1 to itself, whose
+        # psi x psi x K slice has the one amplitude conj(psi_1) on e1
+        inst, diagram = hilbert_cloning_diagram(np.eye(8), beta=[0.0, 1.0], rho=[0.0, 1.0])
+        for eps, want in [(1e-10, [1.0, 0.0]), (1e-8, [0.0, 1.0])]:
+            psi = np.array([1.0, eps]) / math.hypot(1.0, eps)
+            assert np.allclose(diagram.readout(psi), want, rtol=0, atol=1e-12)
+            # the output misses the slice, so the diagram fails at psi either way
+            assert not check_cloning_diagram(inst, diagram, states=[psi]).passed
+
+    def test_reads_a_diagram_file(self):
+        data = {"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]}
+        inst, diagram = hilbert_diagram_from_json(data)
+        assert inst.name == "hilbert"
+        assert np.array_equal(diagram.arrow_c, basis_cloner(2))
+        assert np.array_equal(diagram.rho, [1.0])
+        data["rho"] = [[0.6, 0.0], [0.0, 0.8]]
+        data["unitary"] = complex_matrix_to_json(np.kron(basis_cloner(2), np.eye(2)))
+        assert np.array_equal(hilbert_diagram_from_json(data)[1].rho, [0.6, 0.8j])

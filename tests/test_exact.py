@@ -775,6 +775,9 @@ class TestParsing:
     @example("12/18")
     @example("-3")
     @example("1" * 5000)
+    @example("1e4300")  # exponents up to the int digit limit
+    @example("-1E-4300")
+    @example(" 2.5e+0_4300\n")
     @settings(max_examples=kernel_examples(300), deadline=None)
     def test_string_entries_parse_as_fraction_does(self, text):
         try:
@@ -785,6 +788,15 @@ class TestParsing:
             assert type(got.value) is type(e)
         else:
             assert _frac(text) == want
+
+    @pytest.mark.parametrize(
+        "text", ["1e4301", "-1E-4301", "2.5e1_000_000_000", "1e" + "9" * 5000],
+        ids=["4301", "-4301", "underscores", "5000 digits"],
+    )
+    def test_exponents_past_the_digit_limit_are_refused(self, text):
+        # Fraction(text) would compute ten to the exponent first
+        with pytest.raises(ValueError, match="^entry exponent past the 4300-digit integer limit$"):
+            _frac(text)
 
     @given(sparse_grids(rows=4, cols=4), st.data())
     @settings(max_examples=kernel_examples(150), deadline=None)
