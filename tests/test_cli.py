@@ -199,6 +199,19 @@ class TestQuantumRefute:
         assert "at most 64" in err
 
 
+_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())["runs"]
+
+
+@pytest.mark.parametrize("golden", _GOLDEN, ids=[" ".join(g["argv"]) for g in _GOLDEN])
+def test_float_commands_print_the_recorded_bytes(tmp_path, capsys, golden):
+    # every digit of the float reports is pinned, not just a tolerance
+    cnot = tmp_path / "cnot.json"
+    cnot.write_text(json.dumps({"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]}))
+    argv = [str(cnot) if a == "CNOT" else a for a in golden["argv"]]
+    code, out, err = run_capture(capsys, *argv)
+    assert (code, out, err) == (golden["code"], golden["stdout"], "")
+
+
 class TestProbe:
     def test_probe_reports_bound(self, capsys):
         code, out, _ = run_capture(

@@ -21,6 +21,7 @@ from symclone.quantum import (
     random_state,
     slice_amplitudes,
 )
+from conftest import kernel_examples
 from oracles import complex_matrix_to_json
 
 CNOT = np.array(
@@ -63,6 +64,45 @@ class TestKron:
         c, d = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         assert np.allclose(kron(a @ c, b @ d), kron(a, b) @ kron(c, d))
 
+    @pytest.mark.parametrize(
+        "shape_a, shape_b", [((1,), (1,)), ((), (1,)), ((1, 1), (1, 1))],
+        ids=["1 by 1", "0-d by 1", "1x1 by 1x1"],
+    )
+    def test_single_entries_equal_np_kron_bit_for_bit(self, shape_a, shape_b):
+        # numpy multiplies a fully contiguous (1, 1) outer product in another
+        # loop, which rounds about half of all complex products differently
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+            b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+            assert np.array_equal(kron(a, b), np.kron(a, b))
+
+    @given(
+        st.lists(st.integers(0, 3), max_size=3),
+        st.lists(st.integers(0, 3), max_size=3),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=kernel_examples(100), deadline=None)
+    def test_equals_np_kron_bit_for_bit(self, shape_a, shape_b, complex_a, complex_b, transposed, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(shape, is_complex):
+            # entries spread over many binades, so that any change of rounding shows
+            x = rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, shape)
+            if is_complex:
+                x = x + 1j * rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, shape)
+            return x.T if transposed else x  # a strided view for 2 or more axes
+
+        a, b = draw(shape_a, complex_a), draw(shape_b, complex_b)
+        out = kron(a, b)
+        expected = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        assert out.dtype == np.complex128
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
+
 
 class TestIsIsometry:
     def test_qr_unitary_passes(self):
@@ -82,6 +122,18 @@ class TestIsIsometry:
 
     def test_wide_matrix_can_never_be_an_isometry(self):
         assert not is_isometry(np.ones((2, 4)))
+
+    @pytest.mark.parametrize(
+        "u",
+        [random_isometry(n, n, np.random.default_rng(n)) for n in (1, 2, 5, 16, 64, 256)]
+        + [random_isometry(9, 4, np.random.default_rng(9)), 2.0 * np.eye(3), np.zeros((0, 0)), np.zeros((3, 0)),
+           np.random.default_rng(7).standard_normal((6, 6))],
+        ids=["1", "2", "5", "16", "64", "256", "9x4", "2I", "0x0", "3x0", "not an isometry"],
+    )
+    def test_defect_equals_the_eye_difference_bit_for_bit(self, u):
+        gram = u.conj().T @ u
+        old = float(np.max(np.abs(gram - np.eye(u.shape[1])), initial=0.0))
+        assert isometry_defect(u) == old
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
     def test_map_with_no_columns_is_vacuously_an_isometry(self, shape):
@@ -153,6 +205,14 @@ class TestRefutation:
         with pytest.raises(ValueError, match="isometry"):
             refute_cloning(2.0 * np.eye(4), e0, [1.0], e0, psi2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["beta", "rho", "psi", "psi2"])
+    def test_non_finite_state_is_refused_by_name(self, name, bad):
+        args = {"beta": [1.0, 0.0], "rho": [1.0], "psi": [1.0, 0.0], "psi2": [2**-0.5, 2**-0.5]}
+        args[name] = [bad] + args[name][1:]
+        with pytest.raises(ValueError, match=f"^{name} must be a unit vector"):
+            refute_cloning(basis_cloner(2), **args)
+
     def test_excess_positive_for_random_isometries_and_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -182,6 +242,15 @@ class TestSliceAmplitudes:
             out = U @ np.kron(np.kron(x, beta), rho)
             expected = [np.vdot(np.kron(np.kron(x, x), np.eye(dk)[:, j]), out) for j in range(dk)]
             assert np.max(np.abs(slice_amplitudes(U, x, beta, rho) - expected)) <= 1e-12
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=kernel_examples(50), deadline=None)
+    def test_equals_the_np_kron_expression_bit_for_bit(self, d, dk, seed):
+        rng = np.random.default_rng(seed)
+        U = random_isometry(d * d * dk, d * d * dk, rng)
+        x, beta, rho = random_state(d, rng), random_state(d, rng), random_state(dk, rng)
+        expected = np.kron(x, x).conj() @ (U @ np.kron(np.kron(x, beta), rho)).reshape(d * d, dk)
+        assert np.array_equal(slice_amplitudes(U, x, beta, rho), expected)
 
 
 class TestComplexSerialization:
