@@ -69,11 +69,13 @@ class DiagramInstance(Record):
     """One symmetric monoidal category, packaged as callables.
 
     States of an object are arrows from the unit object; ``state_arrow``
-    embeds a raw state (a vector) as such an arrow, and ``sample_states``
-    produces the vectors the checker will quantify over.  ``exhaustive``
-    records whether that sample decides the universally quantified diagram
-    condition (true for the symplectic instance, where linearity reduces the
-    condition to basis states plus zero).
+    embeds a raw state (a vector) as such an arrow, and ``sample_states(obj,
+    count, rng)`` produces the vectors the checker will quantify over, adding
+    ``count`` random states drawn with ``rng`` (a seed or a numpy Generator)
+    if the instance draws any.  ``exhaustive`` records whether that sample
+    decides the universally quantified diagram condition (true for the
+    symplectic instance, where linearity reduces the condition to basis
+    states plus zero, so it draws none).
     """
 
     def __init__(
@@ -116,7 +118,7 @@ def symplectic_instance() -> DiagramInstance:
         return AffineMap(RatMatrix.zeros(obj.dim, 0), x)
 
     def sample_states(obj: SkewForm, count: int = 0, rng=None) -> list[RatVector]:
-        # zero plus the basis: exhaustive for affine candidate arrows
+        # zero plus the basis: exhaustive for affine arrows, so count and rng go unused
         zero = zero_vec(obj.dim)
         return [zero] + [zero[:j] + (_ONE,) + zero[j + 1 :] for j in range(obj.dim)]
 

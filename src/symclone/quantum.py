@@ -127,14 +127,17 @@ def slice_amplitudes(
 ) -> np.ndarray:
     """Amplitudes of U(x x beta x rho) on the x x x x e_j slice, one for each
     machine basis vector e_j (all vectors flat and complex)."""
-    d, dk = len(x), len(rho)
-    return kron(x, x).conj() @ (U @ kron(kron(x, beta), rho)).reshape(d * d, dk)
+    return _on_slice(x, U @ kron(kron(x, beta), rho))
 
 
-def _clone_distance(U: np.ndarray, x: np.ndarray, beta: np.ndarray, rho: np.ndarray) -> float:
-    """Distance from U(x x beta x rho) to the closest unit vector of the form
-    x x x x (machine state)."""
-    proj = float(np.linalg.norm(slice_amplitudes(U, x, beta, rho)))
+def _on_slice(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Amplitudes of a machine output on the x x x x e_j slice."""
+    return kron(x, x).conj() @ out.reshape(len(x) ** 2, -1)
+
+
+def _clone_distance(x: np.ndarray, out: np.ndarray) -> float:
+    """Distance from a machine output to the closest unit vector x x x x (machine state)."""
+    proj = float(np.linalg.norm(_on_slice(x, out)))
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * proj)))
 
 
@@ -165,11 +168,10 @@ def refute_cloning(U: np.ndarray, beta, rho, psi, psi2) -> Refutation:
             f"|<psi, psi2>| = {abs(t):.3g}; the argument needs 0 < |overlap| < 1"
         )
 
-    preserved = complex(np.vdot(*(U @ kron(kron(x, beta), rho) for x in (psi, psi2))))
-
+    outputs = [U @ kron(kron(x, beta), rho) for x in (psi, psi2)]
+    preserved = complex(np.vdot(*outputs))
     implied = 1.0 / abs(t)
-    r1 = _clone_distance(U, psi, beta, rho)
-    r2 = _clone_distance(U, psi2, beta, rho)
+    r1, r2 = (_clone_distance(x, out) for x, out in zip((psi, psi2), outputs))
     return Refutation(
         overlap=t,
         preserved_overlap=preserved,
@@ -284,7 +286,8 @@ def hilbert_instance() -> DiagramInstance:
         return psi
 
     def sample_states(obj: int, count: int = 8, rng=None) -> list[np.ndarray]:
-        rng = rng or np.random.default_rng(0)
+        # the basis, then count random states; rng is a Generator or a seed (None: 0)
+        rng = np.random.default_rng(0 if rng is None else rng)
         return [np.eye(obj)[:, j] for j in range(obj)] + [random_state(obj, rng) for _ in range(count)]
 
     return DiagramInstance(

@@ -204,10 +204,17 @@ _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())["r
 
 @pytest.mark.parametrize("golden", _GOLDEN, ids=[" ".join(g["argv"]) for g in _GOLDEN])
 def test_float_commands_print_the_recorded_bytes(tmp_path, capsys, golden):
-    # every digit of the float reports is pinned, not just a tolerance
-    cnot = tmp_path / "cnot.json"
-    cnot.write_text(json.dumps({"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]}))
-    argv = [str(cnot) if a == "CNOT" else a for a in golden["argv"]]
+    # every byte of each report is pinned, every digit of the float ones too
+    perturbed = general_cloner(standard_form(3)).to_json()
+    perturbed["phi"]["entries"][0][0] = "2"
+    files = {
+        "CNOT": {"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]},
+        "BASIC": basic_cloner().to_json(),
+        "STANDARD3_PERTURBED": perturbed,
+    }
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in files else a for a in golden["argv"]]
     code, out, err = run_capture(capsys, *argv)
     assert (code, out, err) == (golden["code"], golden["stdout"], "")
 
@@ -276,6 +283,8 @@ class TestInputCaps:
             (["probe", "--m", str(10**12), "--k", "1"], _MAX_PROBE_PAIRS),
             # the cap is checked before the input is read, so no file is needed
             (["diagram-check", "--instance", "hilb", "--input", "unread.json",
+              "--samples", str(_MAX_HILBERT_SAMPLES + 1)], _MAX_HILBERT_SAMPLES),
+            (["diagram-check", "--instance", "symp", "--input", "unread.json",
               "--samples", str(_MAX_HILBERT_SAMPLES + 1)], _MAX_HILBERT_SAMPLES),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
@@ -393,18 +402,24 @@ class TestDiagramCheck:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: beta must be a unit vector (norm 0)\n"
 
-    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--samples", "-3")])
-    def test_negative_sampling_option_is_a_usage_error(self, tmp_path, capsys, option, value):
+    @pytest.mark.parametrize(
+        "instance, option, value",
+        [("hilb", "--seed", "-1"), ("hilb", "--samples", "-3"),
+         ("symp", "--seed", "-1"), ("symp", "--samples", "-3")],
+        ids=["--seed--1", "--samples--3", "symp --seed -1", "symp --samples -3"],
+    )
+    def test_negative_sampling_option_is_a_usage_error(self, tmp_path, capsys, instance, option, value):
         # numpy rejected the seed with a traceback and exit 1; a negative
-        # count sampled no random states and exited 0
+        # count sampled no random states and exited 0; symp took both and
+        # gave its verdict
         payload = {
             "unitary": complex_matrix_to_json(basis_cloner(2)),
             "beta": [[1.0, 0.0], [0.0, 0.0]],
-        }
-        path = tmp_path / "hilb.json"
+        } if instance == "hilb" else basic_cloner().to_json()
+        path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))
         code, out, err = run_capture(
-            capsys, "diagram-check", "--instance", "hilb", "--input", str(path), option, value
+            capsys, "diagram-check", "--instance", instance, "--input", str(path), option, value
         )
         assert code == 2
         assert out == ""
@@ -626,6 +641,10 @@ class TestContract:
                  if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
         assert "verify_cloning" in names
         assert [name for name in names if name.startswith("_")] == []
+        # numpy stays behind the float modules: the CLI imports it nowhere
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+        assert "json" in modules and [m for m in modules if m.split(".")[0] == "numpy"] == []
 
 
 # Runs exact commands through cli.run in an interpreter where importing numpy
@@ -724,6 +743,10 @@ class TestNumpyFree:
             "readout-solve infeasible": (["readout-solve", "--m", "2", "--k", "1"], 1),
             "size-witness": (["size-witness", "--input", files["undersized"]], 1),
             "diagram-check symp": (["diagram-check", "--instance", "symp", "--input", files["basic"]], 0),
+            "diagram-check symp seeded": (["diagram-check", "--instance", "symp", "--input", files["basic"],
+                                           "--samples", "3", "--seed", "9"], 0),
+            "diagram-check symp negative": (["diagram-check", "--instance", "symp", "--input", files["basic"],
+                                             "--samples", "-1"], 2),
         }
         argv = json.dumps([[name, args] for name, (args, _) in commands.items()])
         out = subprocess.run([sys.executable, "-c", _NUMPY_FREE, argv], env=SRC_ENV,

@@ -744,6 +744,44 @@ class TestBlockKernel:
         assert symplectic_defect(s, standard_form(n_in), standard_form(n_out)) == -standard_form(n_in).matrix
 
 
+@st.composite
+def chain_forms(draw):
+    """A standard, a random or a direct-sum skew form of dim 0 to 6."""
+    form = standard_form(0)
+    for dim in draw(st.sampled_from(((0,), (2,), (4,), (6,), (2, 2), (2, 4), (4, 2), (2, 2, 2)))):
+        if draw(st.booleans()):
+            part = standard_form(dim // 2)
+        else:
+            part = random_skew_form(dim, random.Random(draw(st.integers(0, 2**32))))
+        form = direct_sum(form, part)
+    return form
+
+
+@st.composite
+def chain_maps(draw, rows, cols):
+    """A sparse rational map: small entries with many zeros, or rows that
+    favour row or column scales in the defect kernel."""
+    if draw(st.booleans()):
+        return from_grid(*draw(sparse_grids(rows=rows, cols=cols)))
+    styles = draw(st.lists(st.sampled_from(("row", "col")), min_size=1, max_size=4))
+    return _map_rows(random.Random(draw(st.integers(0, 2**32))), rows, cols, styles)
+
+
+class TestDefectChainRule:
+    """For T from (M, omega) to (P, pi) and S from (P, pi) to (N, sigma),
+    (S T)^T sigma (S T) - omega = T^T (S^T sigma S - pi) T + T^T pi T - omega:
+    a law of the defect that needs no reference product."""
+
+    @given(chain_forms(), chain_forms(), chain_forms(), st.data())
+    @settings(max_examples=kernel_examples(100), deadline=None)
+    def test_defect_of_a_composite(self, omega, pi, sigma, data):
+        t = data.draw(chain_maps(pi.dim, omega.dim))
+        s = data.draw(chain_maps(sigma.dim, pi.dim))
+        assert symplectic_defect(s @ t, omega, sigma) == (
+            t.T @ symplectic_defect(s, pi, sigma) @ t + symplectic_defect(t, omega, pi)
+        )
+
+
 class TestGeneralProcessAtScale:
     def test_random_dim_48_verifies(self):
         report = verify_cloning(general_cloner(random_skew_form(48, random.Random(48))))
