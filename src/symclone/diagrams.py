@@ -23,7 +23,9 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from ._record import Record
-from .exact import _ONE, RatMatrix, RatVector, ShapeError, SkewForm, _vec_add, vec, zero_vec
+from .exact import (
+    _ONE, _ZERO, RatMatrix, RatVector, ShapeError, SkewForm, _transpose, _vec_add, vec, zero_vec,
+)
 
 
 def _exact_state(x) -> RatVector:
@@ -44,7 +46,9 @@ class AffineMap(Record):
 
     A map from the zero-dimensional space (the monoidal unit) is a 2m x 0
     matrix plus an offset: exactly a point of the target, which is how states
-    enter the symplectic instance.
+    enter the symplectic instance.  A family of N states is a 2m x N matrix
+    with the states as columns and a zero offset: member i is column i plus
+    the offset.
     """
 
     def __init__(self, matrix: RatMatrix, offset: RatVector):
@@ -76,6 +80,14 @@ class DiagramInstance(Record):
     decides the universally quantified diagram condition (true for the
     symplectic instance, where linearity reduces the condition to basis
     states plus zero, so it draws none).
+
+    The checker takes N states at once as a family: an arrow from an
+    N-dimensional index object whose i-th member is state i, built by
+    ``family(obj, states)``.  ``compose`` and ``tensor`` with single-state
+    arrows act on every member at once; ``pair(g, h)`` is the member-wise
+    tensor of two families, whose member i is g's member i tensored with h's,
+    and ``members_equal(g, h)`` is the list of arrow equalities of the
+    members, as Python bools.
     """
 
     def __init__(
@@ -86,12 +98,16 @@ class DiagramInstance(Record):
         tensor: Callable[[Any, Any], Any],
         equal: Callable[[Any, Any], bool],
         state_arrow: Callable[[Any, Any], Any],
+        family: Callable[[Any, Sequence], Any],
+        pair: Callable[[Any, Any], Any],
+        members_equal: Callable[[Any, Any], list[bool]],
         sample_states: Callable[..., list],
         exhaustive: bool,
     ):
         self.__dict__.update(
             name=name, unit=unit, compose=compose, tensor=tensor, equal=equal,
-            state_arrow=state_arrow, sample_states=sample_states, exhaustive=exhaustive,
+            state_arrow=state_arrow, family=family, pair=pair, members_equal=members_equal,
+            sample_states=sample_states, exhaustive=exhaustive,
         )
 
 
@@ -117,6 +133,24 @@ def symplectic_instance() -> DiagramInstance:
             raise ShapeError("state length does not match the object dimension")
         return AffineMap(RatMatrix.zeros(obj.dim, 0), x)
 
+    def family(obj: SkewForm, states) -> AffineMap:
+        # the states as matrix columns, with a zero offset; an identity test
+        # passes over the interned zeros without a Fraction call
+        cols = [state_arrow(obj, x).offset for x in states]
+        rows = tuple(tuple((j, x) for j, x in enumerate(col) if x is not _ZERO and x) for col in cols)
+        return AffineMap(RatMatrix._raw(_transpose(rows, obj.dim), len(cols)), zero_vec(obj.dim))
+
+    def pair(g: AffineMap, h: AffineMap) -> AffineMap:
+        # g's rows over h's: both families index the same members
+        return AffineMap(RatMatrix._raw(g.matrix._nz + h.matrix._nz, g.source_dim), g.offset + h.offset)
+
+    def members_equal(g: AffineMap, h: AffineMap) -> list[bool]:
+        # member i agrees iff column i of g - h is h's offset minus g's
+        if g.target_dim != h.target_dim:
+            return [False] * g.source_dim
+        want = tuple((j, b - a) for j, (a, b) in enumerate(zip(g.offset, h.offset)) if a != b)
+        return [col == want for col in (g.matrix - h.matrix).T._nz]
+
     def sample_states(obj: SkewForm, count: int = 0, rng=None) -> list[RatVector]:
         # zero plus the basis: exhaustive for affine arrows, so count and rng go unused
         zero = zero_vec(obj.dim)
@@ -129,6 +163,9 @@ def symplectic_instance() -> DiagramInstance:
         tensor=tensor,
         equal=equal,
         state_arrow=state_arrow,
+        family=family,
+        pair=pair,
+        members_equal=members_equal,
         sample_states=sample_states,
         exhaustive=True,
     )
@@ -183,6 +220,13 @@ class DiagramReport(Record):
         }
 
 
+# states per family in check_cloning_diagram.  A Hilbert family costs rows x
+# states complex entries: unblocked, 10,000 states of a 256 x 256 unitary
+# peaked at 227 MB, against 46 MB in blocks of 256, as when one state was
+# checked at a time
+_BLOCK = 256
+
+
 def check_cloning_diagram(
     instance: DiagramInstance,
     diagram: CloningDiagram,
@@ -191,38 +235,34 @@ def check_cloning_diagram(
     """Test commutativity of the cloning diagram on each sampled state.
 
     For each psi, compares c o (psi x beta x rho) with psi x psi x f(psi)
-    using the instance's arrow equality.  The report says whether the sample
-    decides the universally quantified condition or is merely evidence.
-    The report lists states as supplied; the instance's ``state_arrow`` and
-    the diagram's readout coerce them.
+    using the instance's arrow equality, on the states as one family per
+    block of _BLOCK: one composite with c per block, not one per state.
+    The report says whether the sample decides the universally quantified
+    condition or is merely evidence.  The report lists states as supplied;
+    the instance's ``family`` and the diagram's readout coerce them.
     """
-    if states is None:
-        states = instance.sample_states(diagram.object_a)
+    states = list(instance.sample_states(diagram.object_a) if states is None else states)
     beta_arrow = instance.state_arrow(diagram.object_a, diagram.beta)
     rho_arrow = instance.state_arrow(diagram.machine_b, diagram.rho)
 
-    results = []
-    first_failure = None
-    for psi in states:
-        psi_arrow = instance.state_arrow(diagram.object_a, psi)
-        prepared = instance.tensor(instance.tensor(psi_arrow, beta_arrow), rho_arrow)
+    verdicts = []
+    for lo in range(0, len(states), _BLOCK):
+        block = states[lo : lo + _BLOCK]
+        psi = instance.family(diagram.object_a, block)
+        prepared = instance.tensor(instance.tensor(psi, beta_arrow), rho_arrow)
         lhs = instance.compose(diagram.arrow_c, prepared)
-        f_arrow = instance.state_arrow(diagram.machine_b, diagram.readout(psi))
-        rhs = instance.tensor(instance.tensor(psi_arrow, psi_arrow), f_arrow)
-        ok = instance.equal(lhs, rhs)
-        results.append((psi, ok))
-        if not ok and first_failure is None:
-            first_failure = psi
-    passed = all(ok for _, ok in results)
+        f = instance.family(diagram.machine_b, [diagram.readout(x) for x in block])
+        verdicts += instance.members_equal(lhs, instance.pair(instance.pair(psi, psi), f))
+    results = tuple(zip(states, verdicts))
     note = (
         "sample decides the condition (affine arrows, basis plus zero)"
         if instance.exhaustive
         else "sample is evidence only; the condition quantifies over all unit vectors"
     )
     return DiagramReport(
-        results=tuple(results),
-        passed=passed,
-        first_failure=first_failure,
+        results=results,
+        passed=all(verdicts),
+        first_failure=next((x for x, ok in results if not ok), None),
         exhaustive=instance.exhaustive,
         note=note,
     )

@@ -6,12 +6,16 @@ obviously right, so the integer kernels in ``symclone.exact`` must return
 equal matrices (and equal pivots).  ``dense_key`` is what matrix equality
 means, computed from a dense grid without the program's storage.  ``det`` has no program counterpart: the
 tests use it to check that constructed maps have determinant one.
-``check_traditional_diagram`` codes the machine-free cloning diagram
-directly, so the reduction law of the generic checker can be tested against
-it.  ``conjugated_cloner`` is the Darboux-conjugated standard process, kept
-as a fixture whose phi is dense with entries hundreds of bits wide, and
-``product_general_cloner`` builds the general process by its product
-formula, G^-1 = J (G^T omega).
+``check_cloning_diagram`` checks the cloning diagram one state at a time,
+with one composite per state, where the program checks each block of states
+as one family; ``check_traditional_diagram`` codes the machine-free cloning
+diagram directly, so the reduction law of the generic checker can be tested
+against it.  ``slice_amplitudes`` projects U(x x beta x rho) on the
+x x x x K slice through a product with U, where the Hilbert diagram's readout
+multiplies x by U (I x beta x rho), formed once.  ``conjugated_cloner`` is
+the Darboux-conjugated standard process, kept as a fixture whose phi is
+dense with entries hundreds of bits wide, and ``product_general_cloner``
+builds the general process by its product formula, G^-1 = J (G^T omega).
 ``verify_cloning`` checks a process entry by entry on dense grids, and
 ``shuffle_permutation`` gives the block shuffle that the product
 constructors' phi is conjugated by.  ``pair`` evaluates a skew form on two
@@ -37,7 +41,7 @@ from symclone import (
     standard_form,
     vec,
 )
-from symclone.diagrams import DiagramInstance, DiagramReport
+from symclone.diagrams import CloningDiagram, DiagramInstance, DiagramReport
 
 _ZERO = Fraction(0)
 
@@ -314,6 +318,40 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
         reason=reason if verdict == "fail" else "",
         first_defect_entry=first_defect,
     )
+
+
+def check_cloning_diagram(
+    instance: DiagramInstance, diagram: CloningDiagram, states: Sequence | None = None
+) -> DiagramReport:
+    """The cloning diagram checked state by state: c o (psi x beta x rho)
+    against psi x psi x f(psi), each side built from single-state arrows."""
+    if states is None:
+        states = instance.sample_states(diagram.object_a)
+    beta_arrow = instance.state_arrow(diagram.object_a, diagram.beta)
+    rho_arrow = instance.state_arrow(diagram.machine_b, diagram.rho)
+    results = []
+    for psi in states:
+        psi_arrow = instance.state_arrow(diagram.object_a, psi)
+        prepared = instance.tensor(instance.tensor(psi_arrow, beta_arrow), rho_arrow)
+        lhs = instance.compose(diagram.arrow_c, prepared)
+        f_arrow = instance.state_arrow(diagram.machine_b, diagram.readout(psi))
+        rhs = instance.tensor(instance.tensor(psi_arrow, psi_arrow), f_arrow)
+        results.append((psi, instance.equal(lhs, rhs)))
+    return DiagramReport(
+        results=tuple(results),
+        passed=all(ok for _, ok in results),
+        first_failure=next((psi for psi, ok in results if not ok), None),
+        exhaustive=instance.exhaustive,
+        note="state by state",
+    )
+
+
+def slice_amplitudes(U, x, beta, rho):
+    """Amplitudes of U(x x beta x rho) on the x x x x e_j slice, one for each
+    machine basis vector e_j (all vectors flat and complex)."""
+    from symclone import kron
+
+    return kron(x, x).conj() @ (U @ kron(kron(x, beta), rho)).reshape(len(x) ** 2, -1)
 
 
 def check_traditional_diagram(

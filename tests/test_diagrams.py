@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symclone import (
     AffineMap,
@@ -24,10 +26,55 @@ from symclone import (
     vec,
     zero_vec,
 )
-from symclone import diagrams
-from conftest import random_skew_form
-from symclone.quantum import hilbert_diagram_from_json
+from symclone import ShapeError, diagrams
+from conftest import kernel_examples, random_skew_form
+from symclone.quantum import hilbert_diagram_from_json, random_isometry, random_state
+import oracles
 from oracles import check_traditional_diagram, complex_matrix_to_json
+
+
+def shifted_process() -> CloningProcess:
+    """The basic cloner beside an identity machine with ready state (1, 2),
+    with its input precomposed by the symplectic rotation (3/5, 4/5) of the
+    copy block into that machine: the blank and the ready state are both
+    nonzero, and the readout carries the machine offset (0, 0, 1, 2)."""
+    shifted = CloningProcess(
+        standard_form(0), (), standard_form(1), vec([1, 2]),
+        RatMatrix.identity(2), RatMatrix.zeros(2, 0),
+    )
+    p = product_cloner(basic_cloner(), shifted)
+    rotation = [[Fraction(int(i == k)) for k in range(8)] for i in range(8)]
+    for y, z in ((2, 6), (3, 7)):
+        rotation[y][y] = rotation[z][z] = Fraction(3, 5)
+        rotation[y][z], rotation[z][y] = Fraction(-4, 5), Fraction(4, 5)
+    return CloningProcess(
+        p.object_form, vec(["4/5", "8/5"]), p.machine_form, vec([0, 0, "3/5", "6/5"]),
+        p.phi @ RatMatrix(rotation), p.readout,
+    )
+
+
+def with_phi_entry_bumped(process: CloningProcess, i: int, k: int) -> CloningProcess:
+    rows = process.phi.tolist()
+    rows[i][k] += 1
+    return CloningProcess(
+        process.object_form, process.blank, process.machine_form, process.ready,
+        RatMatrix(rows), process.readout,
+    )
+
+
+def assert_agrees_with_the_reference(inst, diagram, states):
+    """The batched checker reports what the state-by-state reference does:
+    the same states in order, the same verdicts as Python bools, and the same
+    first failure."""
+    batched = check_cloning_diagram(inst, diagram, states)
+    reference = oracles.check_cloning_diagram(inst, diagram, states)
+    assert len(batched.results) == len(reference.results) == len(states)
+    for (x, ok), (y, want), psi in zip(batched.results, reference.results, states):
+        assert x is y is psi
+        assert type(ok) is bool and ok == want
+    assert batched.first_failure is reference.first_failure
+    assert batched.passed == reference.passed
+    return batched
 
 
 class TestInstanceCoherence:
@@ -180,36 +227,14 @@ class TestSymplecticDiagram:
             assert report.passed == verify_cloning(c).passed
 
     def test_agreement_with_verifier_with_nonzero_blank_and_ready(self):
-        # the basic cloner beside an identity machine with ready state (1, 2),
-        # with its input precomposed by the symplectic rotation (3/5, 4/5)
-        # of the copy block into that machine: the blank and the ready state
-        # are both nonzero, and the readout carries the machine offset
-        # (0, 0, 1, 2)
-        shifted = CloningProcess(
-            standard_form(0), (), standard_form(1), vec([1, 2]),
-            RatMatrix.identity(2), RatMatrix.zeros(2, 0),
-        )
-        p = product_cloner(basic_cloner(), shifted)
-        rotation = [[Fraction(int(i == k)) for k in range(8)] for i in range(8)]
-        for y, z in ((2, 6), (3, 7)):
-            rotation[y][y] = rotation[z][z] = Fraction(3, 5)
-            rotation[y][z], rotation[z][y] = Fraction(-4, 5), Fraction(4, 5)
-        process = CloningProcess(
-            p.object_form, vec(["4/5", "8/5"]), p.machine_form, vec([0, 0, "3/5", "6/5"]),
-            p.phi @ RatMatrix(rotation), p.readout,
-        )
+        process = shifted_process()
         inst, diagram = diagram_from_process(process)
         assert diagram.readout(zero_vec(2)) == vec([0, 0, 1, 2])
         assert verify_cloning(process).passed
         assert check_cloning_diagram(inst, diagram).passed
         # an object row, a copy row fed by the blank, a machine row fed by x
         for i, k in ((0, 0), (2, 3), (5, 0)):
-            rows = process.phi.tolist()
-            rows[i][k] += 1
-            broken = CloningProcess(
-                process.object_form, process.blank, process.machine_form, process.ready,
-                RatMatrix(rows), process.readout,
-            )
+            broken = with_phi_entry_bumped(process, i, k)
             inst, diagram = diagram_from_process(broken)
             assert not verify_cloning(broken).passed
             assert not check_cloning_diagram(inst, diagram).passed
@@ -305,3 +330,155 @@ class TestHilbertDiagram:
         data["rho"] = [[0.6, 0.0], [0.0, 0.8]]
         data["unitary"] = complex_matrix_to_json(np.kron(basis_cloner(2), np.eye(2)))
         assert np.array_equal(hilbert_diagram_from_json(data)[1].rho, [0.6, 0.8j])
+
+
+class TestBatchedAgainstReference:
+    """The checker builds each side once for a whole family of states; the
+    reference in ``oracles`` builds both sides once per state."""
+
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=kernel_examples(25), deadline=None)
+    def test_symplectic_processes_and_their_bumped_entries(self, m, seed, entry):
+        process = general_cloner(random_skew_form(2 * m, random.Random(seed)))
+        n = process.phi.rows
+        for p in (process, with_phi_entry_bumped(process, entry % n, entry // n % n)):
+            inst, diagram = diagram_from_process(p)
+            assert_agrees_with_the_reference(inst, diagram, inst.sample_states(diagram.object_a))
+
+    @pytest.mark.parametrize("entry", [None, (0, 0), (2, 3), (5, 0), (7, 7)])
+    def test_nonzero_blank_and_ready(self, entry):
+        process = shifted_process()
+        if entry is not None:
+            process = with_phi_entry_bumped(process, *entry)
+        inst, diagram = diagram_from_process(process)
+        states = inst.sample_states(diagram.object_a) + [vec(["1/2", -3]), vec([7, "2/9"])]
+        assert_agrees_with_the_reference(inst, diagram, states)
+
+    @given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=kernel_examples(25), deadline=None)
+    def test_machine_free_candidates(self, m, seed):
+        # machine = the unit object: c is a random affine map on M x M
+        rng = random.Random(seed)
+        inst = symplectic_instance()
+        entry = lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        candidate = AffineMap(
+            RatMatrix([[entry() for _ in range(4 * m)] for _ in range(4 * m)])
+            if m else RatMatrix.zeros(0, 0),
+            vec([entry() for _ in range(4 * m)]),
+        )
+        diagram = CloningDiagram(
+            object_a=standard_form(m), beta=vec([entry() for _ in range(2 * m)]),
+            machine_b=inst.unit, rho=(), arrow_c=candidate, readout=lambda psi: (),
+        )
+        states = inst.sample_states(standard_form(m)) + [vec([entry() for _ in range(2 * m)])]
+        assert_agrees_with_the_reference(inst, diagram, states)
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=kernel_examples(25), deadline=None)
+    def test_hilbert_random_isometries_and_basis_cloners(self, d, dk, seed):
+        rng = np.random.default_rng(seed)
+        n = d * d * dk
+        inst, diagram = hilbert_cloning_diagram(
+            random_isometry(n, n, rng), random_state(d, rng), random_state(dk, rng)
+        )
+        assert_agrees_with_the_reference(inst, diagram, inst.sample_states(d, count=6, rng=rng))
+        # the basis cloner beside an idle machine clones the basis states
+        inst, diagram = hilbert_cloning_diagram(
+            np.kron(basis_cloner(d), np.eye(dk)), np.eye(d)[:, 0], random_state(dk, rng)
+        )
+        states = inst.sample_states(d, count=6, rng=rng)
+        report = assert_agrees_with_the_reference(inst, diagram, states)
+        assert [ok for _, ok in report.results[:d]] == [True] * d
+
+    def test_hilbert_readout_fallback(self):
+        # the identity misses the psi x psi x K slice: below FLOAT_TOL the
+        # readout falls back to the first machine basis state
+        inst, diagram = hilbert_cloning_diagram(np.eye(8), beta=[0.0, 1.0], rho=[0.0, 1.0])
+        states = [np.array([1.0, eps]) / math.hypot(1.0, eps) for eps in (0.0, 1e-10, 1e-8, 1.0)]
+        report = assert_agrees_with_the_reference(inst, diagram, states)
+        assert not report.passed
+
+
+class TestFamilies:
+    @pytest.fixture(params=["symplectic", "hilbert"])
+    def checked(self, request):
+        if request.param == "symplectic":
+            inst, diagram = diagram_from_process(general_cloner(standard_form(1)))
+            return inst, diagram, [1, 0], [1, 0, 0]
+        inst, diagram = hilbert_cloning_diagram(basis_cloner(2), beta=[1.0, 0.0])
+        return inst, diagram, [1.0, 0.0], [1.0, 0.0, 0.0]
+
+    def test_no_states_is_a_passing_empty_check(self, checked):
+        inst, diagram, _, _ = checked
+        report = check_cloning_diagram(inst, diagram, [])
+        assert report.to_json()["checked"] == 0
+        assert report.passed and report.first_failure is None
+
+    def test_a_state_of_the_wrong_length_is_a_shape_error(self, checked):
+        inst, diagram, good, bad = checked
+        with pytest.raises(ShapeError):
+            check_cloning_diagram(inst, diagram, [good, bad])
+
+    def test_zero_dimensional_object(self):
+        inst, diagram = diagram_from_process(general_cloner(standard_form(0)))
+        report = check_cloning_diagram(inst, diagram)
+        assert report.results == (((), True),) and report.passed
+        assert check_cloning_diagram(inst, diagram, [(), ()]).passed
+        family = inst.family(standard_form(0), [(), (), ()])
+        assert (family.target_dim, family.source_dim) == (0, 3)
+
+    @pytest.mark.parametrize("bad", [[True, 0], [0, 0.5]])
+    def test_a_boolean_or_float_state_is_a_type_error(self, bad):
+        inst, diagram = diagram_from_process(basic_cloner())
+        with pytest.raises(TypeError):
+            check_cloning_diagram(inst, diagram, [[1, 0], bad])
+
+    def test_pair_is_the_member_wise_tensor(self):
+        inst = symplectic_instance()
+        g = AffineMap(RatMatrix([[1, 0, "1/2"], [0, 2, 0]]), vec([3, "-1/3"]))
+        h = AffineMap(RatMatrix([[0, 0, 5]]), vec(["7/2"]))
+        members = lambda f: [
+            AffineMap(RatMatrix.zeros(f.target_dim, 0),
+                      tuple(f.matrix[i, j] + f.offset[i] for i in range(f.target_dim)))
+            for j in range(f.source_dim)
+        ]
+        paired = inst.pair(g, h)
+        assert [inst.equal(m, inst.tensor(a, b)) for m, a, b in zip(members(paired), members(g), members(h))] \
+            == [True] * 3
+        hinst = hilbert_instance()
+        rng = np.random.default_rng(2)
+        g, h = rng.standard_normal((2, 3)), rng.standard_normal((3, 3)) + 1j
+        paired = hinst.pair(g, h)
+        for j in range(3):
+            assert np.array_equal(paired[:, j], np.kron(g[:, j], h[:, j]))
+
+    def test_caller_zeros_need_not_be_interned(self):
+        # Fraction(0) is not the interned zero, and a tuple of Fractions goes
+        # into the family uncoerced
+        inst, diagram = diagram_from_process(basic_cloner())
+        states = [(Fraction(0), Fraction(1)), (Fraction(3), Fraction(0)), (Fraction(0), Fraction(0))]
+        for sample in [states] + [[psi] for psi in states]:
+            assert assert_agrees_with_the_reference(inst, diagram, sample).passed
+
+    def test_an_arrow_into_another_object_fails_at_every_state(self):
+        inst = symplectic_instance()
+        diagram = CloningDiagram(
+            object_a=standard_form(1), beta=zero_vec(2), machine_b=inst.unit, rho=(),
+            arrow_c=AffineMap(RatMatrix([[1, 0, 0, 0]] * 2), zero_vec(2)),
+            readout=lambda psi: (),
+        )
+        report = assert_agrees_with_the_reference(inst, diagram, inst.sample_states(standard_form(1)))
+        assert [ok for _, ok in report.results] == [False] * 3
+        hinst = hilbert_instance()
+        diagram = CloningDiagram(
+            object_a=2, beta=np.eye(2)[:, 0], machine_b=1, rho=np.ones(1),
+            arrow_c=np.eye(4)[:2], readout=lambda psi: np.ones(1),
+        )
+        report = assert_agrees_with_the_reference(hinst, diagram, hinst.sample_states(2, count=2))
+        assert [ok for _, ok in report.results] == [False] * 4
+
+    def test_more_states_than_a_block(self):
+        inst, diagram = hilbert_cloning_diagram(basis_cloner(2), beta=[1.0, 0.0])
+        states = inst.sample_states(2, count=diagrams._BLOCK + 5, rng=4)
+        report = assert_agrees_with_the_reference(inst, diagram, states)
+        assert len(report.results) == diagrams._BLOCK + 7

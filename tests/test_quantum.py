@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from symclone import (
     HypothesisViolationError,
     basis_cloner,
+    hilbert_cloning_diagram,
     is_isometry,
     kron,
     refute_cloning,
@@ -19,10 +20,9 @@ from symclone.quantum import (
     isometry_defect,
     random_isometry,
     random_state,
-    slice_amplitudes,
 )
 from conftest import kernel_examples
-from oracles import complex_matrix_to_json
+from oracles import complex_matrix_to_json, slice_amplitudes
 
 CNOT = np.array(
     [
@@ -165,6 +165,11 @@ class TestBasisCloner:
             assert is_isometry(basis_cloner(d))
             assert isometry_defect(basis_cloner(d)) == 0.0
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_is_an_isometry(self, d):
+        # standard_refutation relies on this and skips the check
+        assert is_isometry(basis_cloner(d))
+
     def test_fails_on_sampled_superpositions(self):
         rng = np.random.default_rng(4)
         for d in (2, 3, 4):
@@ -184,6 +189,18 @@ class TestRefutation:
         assert r.cauchy_schwarz_excess == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
         assert r.cloning_residual == pytest.approx(math.sqrt(2 - math.sqrt(2)), abs=1e-12)
         assert abs(r.preserved_overlap - r.overlap) < 1e-12
+
+    @pytest.mark.parametrize("overlap", [0.3, 2 ** -0.5, 0.9])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_standard_refutation_is_refute_cloning_on_the_basis_cloner(self, d, overlap):
+        e0, e1 = np.eye(d)[:, 0], np.eye(d)[:, 1]
+        psi2 = overlap * e0 + np.sqrt(1.0 - overlap**2) * e1
+        want = refute_cloning(basis_cloner(d), e0, [1.0], e0, psi2)
+        got = standard_refutation(d, overlap)
+        assert got.to_json() == want.to_json()
+        for name in ("overlap", "preserved_overlap", "implied_machine_overlap",
+                     "cauchy_schwarz_excess", "cloning_residual", "residual_per_state"):
+            assert getattr(got, name) == getattr(want, name)
 
     def test_dimension_one_has_no_valid_pair(self):
         with pytest.raises(HypothesisViolationError, match="no valid state pair"):
@@ -251,6 +268,24 @@ class TestSliceAmplitudes:
         x, beta, rho = random_state(d, rng), random_state(d, rng), random_state(dk, rng)
         expected = np.kron(x, x).conj() @ (U @ np.kron(np.kron(x, beta), rho)).reshape(d * d, dk)
         assert np.array_equal(slice_amplitudes(U, x, beta, rho), expected)
+
+
+class TestDiagramReadout:
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=kernel_examples(50), deadline=None)
+    def test_reads_the_slice_amplitudes_of_the_output(self, d, dk, seed):
+        # the readout multiplies psi by U (I x beta x rho), formed once; the
+        # reference multiplies psi x beta x rho by U
+        rng = np.random.default_rng(seed)
+        U = random_isometry(d * d * dk, d * d * dk, rng)
+        beta, rho = random_state(d, rng), random_state(dk, rng)
+        _, diagram = hilbert_cloning_diagram(U, beta, rho)
+        for _ in range(3):
+            x = random_state(d, rng)
+            amps = slice_amplitudes(U, x, beta, rho)
+            norm = float(np.linalg.norm(amps))
+            if norm >= 1e-2:  # a smaller norm magnifies the rounding of both
+                assert np.max(np.abs(diagram.readout(x) - amps / norm)) <= 1e-12
 
 
 class TestComplexSerialization:

@@ -40,6 +40,7 @@ RECORDS = {
     DiagramInstance: dict(
         name=_INSTANCE.name, unit=_INSTANCE.unit, compose=_INSTANCE.compose,
         tensor=_INSTANCE.tensor, equal=_INSTANCE.equal, state_arrow=_INSTANCE.state_arrow,
+        family=_INSTANCE.family, pair=_INSTANCE.pair, members_equal=_INSTANCE.members_equal,
         sample_states=_INSTANCE.sample_states, exhaustive=_INSTANCE.exhaustive,
     ),
     CloningDiagram: dict(
