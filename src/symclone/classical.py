@@ -552,7 +552,8 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
     pair) meeting the Armijo condition.  A row stops like L-BFGS-B's
     defaults, after maxiter iterations, a relative decrease <= _FTOL or max
     |grad| <= _GTOL, or when its line search runs out, and then leaves the
-    batch.
+    batch.  Each row returns, bit for bit, what the tests' one-row ``lbfgs``
+    returns: the same ufuncs on the same operands in the same order.
     """
     import numpy as np
 
@@ -566,13 +567,15 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
     # each row's j-th newest pair, and slot head takes the next one.  A slot
     # never written has rho = 0, so the recursion passes it unchanged.  Each
     # vector is a 1 x n matrix, so a batched matmul with a column takes the
-    # dot products of all rows at once.
+    # dot products of all rows at once.  The recursion reads the slots through
+    # views, made again only when rows leave, newest first for each head;
+    # where all rows agree, shortcuts skip the general path's masks.
     ring = _HISTORY + 1
     s_ring = np.zeros((ring, rows, 1, n))
     y_ring = np.zeros((ring, rows, 1, n))
     rho = np.zeros((ring, rows))  # 1 / y.s
     gamma = np.ones(rows)  # rho y.y of the newest pair, 1 before the first
-    head = 0
+    head, paired, views = 0, False, None  # paired: every row has a pair
     f, g = objective(x)
     value = f  # what each row returns if it stops here
     stop = np.abs(g).max(axis=1) <= _GTOL
@@ -581,27 +584,31 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
             best[live[stop]] = value[stop]
             go = ~stop
             live, x, f, g, gamma = live[go], x[go], f[go], g[go], gamma[go]
-            s_ring, y_ring, rho = s_ring[:, go], y_ring[:, go], rho[:, go]
+            s_ring, y_ring, rho, views = s_ring[:, go], y_ring[:, go], rho[:, go], None
             if not live.size:
                 return best
-        slots = [(head - j) % ring for j in range(1, ring)]  # newest first
+        if views is None:
+            slot = list(zip(s_ring, y_ring, rho[:, :, None, None]))  # (s, y, rho) each
+            views = [[slot[(h - j) % ring] for j in range(1, ring)] for h in range(ring)]
         q = g.copy()
         q_row, q_col = q[:, None, :], q[:, :, None]
-        r = rho[:, :, None, None]
         term = np.empty_like(q_row)  # one buffer for the recursion's updates
         alphas = []
-        for i in slots:
-            alphas.append(r[i] * np.matmul(s_ring[i], q_col))
-            q_row -= np.multiply(alphas[-1], y_ring[i], out=term)
+        for s, y, r in views[head]:
+            alphas.append(r * np.matmul(s, q_col))
+            q_row -= np.multiply(alphas[-1], y, out=term)
         q /= gamma[:, None]
-        for i, a in zip(reversed(slots), reversed(alphas)):
-            q_row += np.multiply(a - r[i] * np.matmul(y_ring[i], q_col), s_ring[i], out=term)
+        for (s, y, r), a in zip(reversed(views[head]), reversed(alphas)):
+            q_row += np.multiply(a - r * np.matmul(y, q_col), s, out=term)
         slope = -dot(g, q)
-        step = np.where(rho[slots[0]] > 0, 1.0, 1.0 / np.sqrt(dot(g, g)))
-        x_new = x - step[:, None] * q
+        paired = paired or (rho[head - 1] > 0).all()  # then np.where gives all 1
+        step = 1.0 if paired else np.where(rho[head - 1] > 0, 1.0, 1.0 / np.sqrt(dot(g, g)))
+        x_new = x - q if paired else x - step[:, None] * q  # 1 * q is q
         f_new, g_new = objective(x_new)
         short = ~(f_new <= f + 1e-4 * step * slope)
-        for _ in range(20):
+        cut = short.any()  # some row backtracks, with a step of its own
+        step = np.full(len(live), step) if cut else step
+        for _ in range(20 if cut else 0):
             i = np.flatnonzero(short)
             if not i.size:
                 break
@@ -613,18 +620,19 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
         s = np.subtract(x_new, x, out=s_ring[head, :, 0])
         y = np.subtract(g_new, g, out=y_ring[head, :, 0])
         sy = dot(s, y)
-        kept = (sy > 0) & ~short
-        rho[head, kept] = 1.0 / sy[kept]
-        gamma[kept] = rho[head, kept] * dot(y, y)[kept]
-        i = np.flatnonzero(~kept)
-        if i.size:
+        kept = (sy > 0) & ~short if cut else sy > 0
+        keep = slice(None) if kept.all() else kept  # no mask when every row keeps
+        rho[head, keep] = 1.0 / sy[keep]
+        gamma[keep] = rho[head, keep] * dot(y, y)[keep]
+        if keep is kept:
             # a row that keeps no pair turns its ring one slot on, so that
             # its newest pair stays in slot head - 1 and slot head is free
+            i = np.flatnonzero(~kept)
             s_ring[:, i] = np.roll(s_ring[:, i], 1, axis=0)
             y_ring[:, i] = np.roll(y_ring[:, i], 1, axis=0)
             rho[:, i] = np.roll(rho[:, i], 1, axis=0)
         head = (head + 1) % ring
-        value = np.where(short, f, f_new)
+        value = np.where(short, f, f_new) if cut else f_new
         decrease = (f - value) / np.maximum(np.maximum(np.abs(f), np.abs(value)), 1.0)
         stop = short | (decrease <= _FTOL) | (np.abs(g_new).max(axis=1) <= _GTOL)
         x, f, g = x_new, f_new, g_new

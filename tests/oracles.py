@@ -22,9 +22,11 @@ constructors' phi is conjugated by.  ``pair`` evaluates a skew form on two
 vectors, and ``complex_matrix_to_json`` writes a complex matrix in the layout
 of Hilbert diagram files; the program needs neither.  ``lbfgs`` and
 ``clone_residual_probe`` run the residual probe's restarts one after
-another, one L-BFGS run each, with Xi applied by a dense product; each row
-of the batched ``classical._lbfgs`` must reach what ``lbfgs`` reaches from
-that row alone.
+another, one L-BFGS run each, on ``probe_objective``, where Xi is applied by
+a dense product; each row of the batched ``classical._lbfgs`` must return,
+bit for bit, what ``lbfgs`` returns from that row alone.  ``transvection``
+builds the symplectic shears whose products the conjugation law of cloning
+processes is tested with.
 """
 
 from __future__ import annotations
@@ -56,6 +58,21 @@ def pair(form: SkewForm, u: Sequence, v: Sequence) -> Fraction:
     """Evaluate the form: u . (matrix v), each vector coerced by ``vec``."""
     w = form.matrix.apply(v)
     return sum((a * b for a, b in zip(vec(u), w) if a and b), _ZERO)
+
+
+def transvection(form: SkewForm, u: Sequence, lam) -> tuple[RatMatrix, RatMatrix]:
+    """The symplectic transvection z -> z + lam omega(u, z) u of the form, as
+    the matrix I + lam u u^T Omega, and its inverse I - lam u u^T Omega.  It
+    preserves omega because omega(u, u) = 0; products of transvections give
+    every rational symplectic map."""
+    u = vec(u)
+    row = form.matrix.T.apply(u)  # u^T Omega
+    n = form.dim
+
+    def shear(c) -> RatMatrix:
+        return RatMatrix([[(i == j) + c * u[i] * row[j] for j in range(n)] for i in range(n)])
+
+    return shear(Fraction(lam)), shear(-Fraction(lam))
 
 
 def complex_matrix_to_json(a) -> dict:
@@ -437,12 +454,12 @@ def lbfgs(objective, x, maxiter: int) -> float:
     return f
 
 
-def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
-    """The residual probe with its restarts run one after another through
-    ``lbfgs``, each on its own d x d matrix, and Xi applied by a dense
-    product; arguments are not checked."""
-    import math
-
+def probe_objective(m: int, k: int):
+    """The residual probe's search space for m object pairs and k machine
+    pairs, as (pinned, free, objective): the pinned entries of a d x d
+    candidate, the mask of its free entries, and the map from a candidate to
+    its squared symplectic defect and that defect's gradient, zero on the
+    pinned entries, with Xi applied by a dense product."""
     import numpy as np
 
     dm, dn = 2 * m, 2 * k
@@ -457,6 +474,19 @@ def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
         delta = phi.T @ xi @ phi - xi
         return float(np.sum(delta * delta)), free * (-4.0 * xi @ phi @ delta)
 
+    return pinned, free, objective
+
+
+def clone_residual_probe(m: int, k: int, iterations: int, seed: int) -> float:
+    """The residual probe with its restarts run one after another through
+    ``lbfgs``, each on its own d x d matrix, with ``probe_objective``;
+    arguments are not checked."""
+    import math
+
+    import numpy as np
+
+    pinned, free, objective = probe_objective(m, k)
+    d = len(pinned)
     rng = np.random.default_rng(seed)
     restarts = min(8, iterations)
     per_restart = max(1, iterations // restarts)

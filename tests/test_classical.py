@@ -33,6 +33,7 @@ from symclone import (
     size_witness,
     standard_cloner,
     standard_form,
+    symplectic_defect,
     verify_cloning,
     vec,
     zero_vec,
@@ -453,6 +454,57 @@ class TestVerifyAgainstReference:
         assert rep == oracles.verify_cloning(process)
 
 
+_CONJUGATION_BASES = {
+    "basic": basic_cloner(),
+    "standard": standard_cloner(3),
+    "mirror": mirror_cloner(random_skew_form(6, random.Random(6))),
+    "general": general_cloner(random_skew_form(8, random.Random(8))),
+    "floor": defect_floor(3, 1)[0],  # copies, but is not symplectic
+}
+
+
+@st.composite
+def _symplectic_maps(draw, form: SkewForm):
+    """A product of one to three transvections of the form, and its inverse."""
+    g = g_inv = RatMatrix.identity(form.dim)
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(st.lists(_ENTRIES, min_size=form.dim, max_size=form.dim))
+        t, t_inv = oracles.transvection(form, u, draw(_ENTRIES))
+        g, g_inv = t @ g, g_inv @ t_inv
+    return g, g_inv
+
+
+class TestConjugationLaw:
+    """For g symplectic on (M, omega) and h on (N, sigma), phi' = (g + g + h)
+    phi (g^-1 + I + I) with readout h F g^-1 is a cloning process iff phi is
+    one: a symplectic change of coordinates on the object and the machine.
+    The defect of phi' is that of phi congruent by g^-1 + I + I, so the two
+    have the same rank."""
+
+    @given(st.sampled_from(sorted(_CONJUGATION_BASES)), st.booleans(), st.data())
+    @settings(max_examples=kernel_examples(30), deadline=None)
+    def test_conjugate_clones_iff_the_process_does(self, name, perturb, data):
+        c = _CONJUGATION_BASES[name]
+        if perturb:  # one entry of phi raised by one
+            grid = c.phi.tolist()
+            i, j = (data.draw(st.integers(0, len(grid) - 1)) for _ in range(2))
+            grid[i][j] += 1
+            c = _with(c, phi=grid)
+        g, g_inv = data.draw(_symplectic_maps(c.object_form))
+        h, _ = data.draw(_symplectic_maps(c.machine_form))
+        eye = RatMatrix.identity(c.object_dim + c.machine_dim)
+        phi = RatMatrix.block_diag(g, g, h) @ c.phi @ RatMatrix.block_diag(g_inv, eye)
+        conj = CloningProcess(
+            c.object_form, c.blank, c.machine_form, c.ready, phi, h @ c.readout @ g_inv
+        )
+        before, after = verify_cloning(c), verify_cloning(conj)
+        assert after.passed == before.passed
+        assert perturb or before.passed == (name != "floor")
+        total = c.total_form()
+        rank = symplectic_defect(c.phi, total, total).rank()
+        assert symplectic_defect(conj.phi, total, total).rank() == rank
+
+
 def _scaled_machine(c: CloningProcess, scale: Fraction) -> CloningProcess:
     """c with phi's machine rows and the stored readout both times scale:
     the copying columns stay exactly (e_i, e_i, F e_i), and the readout
@@ -693,6 +745,30 @@ class TestBatchedLbfgs:
         got = classical._lbfgs(_tagged_objective, np.array(self.STARTS, dtype=float), maxiter)
         want = [self.alone(row, maxiter) for row in self.STARTS]
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize(
+        "m, k, seed, maxiter",
+        [(m, k, seed, maxiter) for m, k in [(1, 0), (2, 1), (3, 1), (4, 2)] for seed in (0, 1)
+         for maxiter in (9, 200)] + [(4, 2, 0, 625)],
+    )
+    def test_rows_equal_their_runs_alone_on_the_probe(self, m, k, seed, maxiter):
+        # the probe's own objective on a full batch of eight rows, at the
+        # numeric benchmark's sizes: the batch's shortcuts for rows that
+        # agree run here, and every row must return exactly its lone run
+        pinned, free, objective = oracles.probe_objective(m, k)
+
+        def alone(z):
+            f, g = objective(z.reshape(pinned.shape))
+            return f, g.reshape(-1)
+
+        def batch(x):
+            values, grads = zip(*map(alone, x))
+            return np.array(values), np.array(grads)
+
+        rng = np.random.default_rng(seed)
+        starts = (pinned + free * rng.standard_normal((8, *pinned.shape))).reshape(8, -1)
+        got = classical._lbfgs(batch, starts, maxiter)
+        assert got.tolist() == [oracles.lbfgs(alone, row, maxiter) for row in starts]
 
     def test_rows_stop_for_different_reasons(self):
         stationary, ftol, maxiter, uphill, gtol, curved = self.STARTS
