@@ -58,10 +58,10 @@ _MAX_READOUT_PAIRS = 200
 # (step, gradient change) pairs, plus one slot for the next pair, take about
 # 7 MB
 _MAX_PROBE_PAIRS = 16
-# diagram-check --instance hilb draws and reads out each sampled state in
-# turn and checks them in blocks of 256: at 10,000 states and a 256 x 256
-# unitary, 0.77 s and 46 MB peak, against 2.1 s and 46 MB when each state was
-# checked alone (medians of 5 processes, one BLAS thread, 2-vCPU VM)
+# diagram-check --instance hilb draws each sampled state in turn, then checks
+# and reads them out in blocks of 256: at 10,000 states and a 256 x 256
+# unitary, 0.44 s and 46 MB peak from interpreter start (medians of 5
+# processes, one BLAS thread, 2-vCPU VM)
 _MAX_HILBERT_SAMPLES = 10_000
 _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7 and 3.11 on
 
@@ -248,7 +248,7 @@ def _cmd_diagram_check(args) -> int:
             raise ValueError(f"--{option} must be nonnegative")
     if args.samples > _MAX_HILBERT_SAMPLES:
         raise ValueError(
-            f"--samples must be at most {_MAX_HILBERT_SAMPLES} (each state is drawn and read out in turn)"
+            f"--samples must be at most {_MAX_HILBERT_SAMPLES} (each state is drawn in turn)"
         )
     # imported here, not at module level: no other command needs the module
     from .diagrams import check_cloning_diagram, diagram_from_process

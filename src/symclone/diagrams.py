@@ -20,6 +20,7 @@ and fails ``verify_cloning``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ._record import Record
@@ -29,9 +30,9 @@ from .exact import (
 
 
 def _exact_state(x) -> RatVector:
-    """x as an exact vector.  A tuple of Fractions (a sampled state, a readout
-    image, a state already coerced) is returned as it is; anything else goes
-    through ``vec``, which rejects booleans and floats."""
+    """x as an exact vector.  A tuple of Fractions (a sampled state, or a
+    state already coerced) is returned as it is; anything else goes through
+    ``vec``, which rejects booleans and floats."""
     if type(x) is tuple and all(type(e) is Fraction for e in x):
         return x
     return vec(x)
@@ -87,7 +88,8 @@ class DiagramInstance(Record):
     arrows act on every member at once; ``pair(g, h)`` is the member-wise
     tensor of two families, whose member i is g's member i tensored with h's,
     and ``members_equal(g, h)`` is the list of arrow equalities of the
-    members, as Python bools.
+    members, as Python bools.  A diagram's readout maps a family of states
+    of its object to the family of their machine states.
     """
 
     def __init__(
@@ -178,8 +180,9 @@ def symplectic_instance() -> DiagramInstance:
 class CloningDiagram(Record):
     """Candidate cloning data: c : A x A x B -> A x A x B together with the
     blank state beta of A, the machine object B with ready state rho, and the
-    claimed readout f from states of A to states of B.  Taking B to be the
-    unit object (with empty states) recovers the machine-free diagram."""
+    claimed readout f, which maps a family of states of A to the family of
+    their states of B.  Taking B to be the unit object (with empty states)
+    recovers the machine-free diagram."""
 
     def __init__(
         self,
@@ -236,10 +239,10 @@ def check_cloning_diagram(
 
     For each psi, compares c o (psi x beta x rho) with psi x psi x f(psi)
     using the instance's arrow equality, on the states as one family per
-    block of _BLOCK: one composite with c per block, not one per state.
-    The report says whether the sample decides the universally quantified
-    condition or is merely evidence.  The report lists states as supplied;
-    the instance's ``family`` and the diagram's readout coerce them.
+    block of _BLOCK: one composite with c and one readout per block, not
+    one per state.  The report says whether the sample decides the
+    universally quantified condition or is merely evidence.  The report
+    lists states as supplied; the instance's ``family`` coerces each once.
     """
     states = list(instance.sample_states(diagram.object_a) if states is None else states)
     beta_arrow = instance.state_arrow(diagram.object_a, diagram.beta)
@@ -251,7 +254,7 @@ def check_cloning_diagram(
         psi = instance.family(diagram.object_a, block)
         prepared = instance.tensor(instance.tensor(psi, beta_arrow), rho_arrow)
         lhs = instance.compose(diagram.arrow_c, prepared)
-        f = instance.family(diagram.machine_b, [diagram.readout(x) for x in block])
+        f = diagram.readout(psi)
         verdicts += instance.members_equal(lhs, instance.pair(instance.pair(psi, psi), f))
     results = tuple(zip(states, verdicts))
     note = (
@@ -271,23 +274,19 @@ def check_cloning_diagram(
 def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
     """Wrap a classical CloningProcess as a symplectic cloning diagram.
 
-    The readout state map is x -> F x + f(0), with f(0) read off from the
-    machine block of the image of the blank/ready preparation.
+    The readout is the arrow x -> F x + f(0), with f(0) read off from the
+    machine block of the image of the blank/ready preparation, composed with
+    each family: one sparse product per block.
     """
     inst = symplectic_instance()
     dm = process.object_dim
     base = process.phi._apply(zero_vec(dm) + process.blank + process.ready)
-    machine_offset = base[2 * dm :]
-
-    def readout(x) -> RatVector:
-        return _vec_add(process.readout._apply(_exact_state(x)), machine_offset)
-
     diagram = CloningDiagram(
         object_a=process.object_form,
         beta=process.blank,
         machine_b=process.machine_form,
         rho=process.ready,
         arrow_c=AffineMap(process.phi, zero_vec(process.phi.rows)),
-        readout=readout,
+        readout=partial(inst.compose, AffineMap(process.readout, base[2 * dm :])),
     )
     return inst, diagram

@@ -122,14 +122,10 @@ class Refutation(Record):
         }
 
 
-def _on_slice(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Amplitudes of a machine output on the x x x x e_j slice."""
-    return kron(x, x).conj() @ out.reshape(len(x) ** 2, -1)
-
-
 def _clone_distance(x: np.ndarray, out: np.ndarray) -> float:
-    """Distance from a machine output to the closest unit vector x x x x (machine state)."""
-    proj = float(np.linalg.norm(_on_slice(x, out)))
+    """Distance from a machine output to the closest unit vector x x x x (machine
+    state), from the output's amplitudes on the x x x x e_j slice."""
+    proj = float(np.linalg.norm(kron(x, x).conj() @ out.reshape(len(x) ** 2, -1)))
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * proj)))
 
 
@@ -323,9 +319,10 @@ def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInsta
     The readout f is induced: f(psi) is the normalized projection of
     U(psi x beta x rho) onto the psi x psi x K slice, so the diagram commutes
     at psi exactly when U clones psi.  Below a norm of FLOAT_TOL, f falls back
-    to the first machine basis state.  U(psi x beta x rho) is read as W psi,
-    where W = U (I x beta x rho) is formed once: a d^2 dk x d matrix, so a
-    readout costs no product with U.
+    to the first machine basis state.  f takes a family, the states as the
+    columns of Psi, and reads U(Psi x beta x rho) as W Psi, where W = U (I x
+    beta x rho) is formed once: a d^2 dk x d matrix, so a block costs one
+    product with W and none with U.
     """
     U = np.asarray(U, dtype=complex)
     beta = np.asarray(beta, dtype=complex).reshape(-1)
@@ -342,12 +339,14 @@ def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInsta
     with np.errstate(over="ignore", invalid="ignore"):
         W = U @ kron(kron(np.eye(d), beta.reshape(-1, 1)), rho.reshape(-1, 1))
 
-    def readout(psi) -> np.ndarray:
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        amps = _on_slice(psi, W @ psi)
-        norm = float(np.linalg.norm(amps))
-        if norm < FLOAT_TOL:
-            return np.eye(dk)[:, 0].astype(complex)
+    def readout(psi: np.ndarray) -> np.ndarray:
+        # column n of the amplitudes is psi_n x psi_n paired with the dk
+        # columns of W psi_n read as a d^2 x dk matrix
+        out = (W @ psi).reshape(d * d, dk, psi.shape[1])
+        amps = np.einsum("in,ijn->jn", inst.pair(psi, psi).conj(), out)
+        norm = np.linalg.norm(amps, axis=0)
+        fallback = norm < FLOAT_TOL
+        amps[:, fallback], norm[fallback] = np.eye(dk)[:, :1], 1.0
         return amps / norm
 
     diagram = CloningDiagram(

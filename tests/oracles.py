@@ -8,14 +8,17 @@ means, computed from a dense grid without the program's storage.  ``det`` has no
 tests use it to check that constructed maps have determinant one.
 ``check_cloning_diagram`` checks the cloning diagram one state at a time,
 with one composite per state, where the program checks each block of states
-as one family; ``check_traditional_diagram`` codes the machine-free cloning
-diagram directly, so the reduction law of the generic checker can be tested
-against it.  ``slice_amplitudes`` projects U(x x beta x rho) on the
-x x x x K slice through a product with U, where the Hilbert diagram's readout
-multiplies x by U (I x beta x rho), formed once.  ``conjugated_cloner`` is
-the Darboux-conjugated standard process, kept as a fixture whose phi is
-dense with entries hundreds of bits wide, and ``product_general_cloner``
-builds the general process by its product formula, G^-1 = J (G^T omega).
+as one family.  It reads each state out with a per-state reference,
+``process_readout`` (x -> F x + f(0)) or ``hilbert_readout``, where the
+program's readout maps a whole family at once.  ``check_traditional_diagram``
+codes the machine-free cloning diagram directly, so the reduction law of the
+generic checker can be tested against it.  ``slice_amplitudes`` projects
+U(x x beta x rho) on the x x x x K slice through a product with U, where the
+Hilbert diagram's readout multiplies a block of states by U (I x beta x
+rho), formed once.  ``conjugated_cloner`` is the Darboux-conjugated standard
+process, kept as a fixture whose phi is dense with entries hundreds of bits
+wide, and ``product_general_cloner`` builds the general process by its
+product formula, G^-1 = J (G^T omega).
 ``verify_cloning`` checks a process entry by entry on dense grids, and
 ``shuffle_permutation`` gives the block shuffle that the product
 constructors' phi is conjugated by.  ``pair`` evaluates a skew form on two
@@ -338,10 +341,12 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
 
 
 def check_cloning_diagram(
-    instance: DiagramInstance, diagram: CloningDiagram, states: Sequence | None = None
+    instance: DiagramInstance, diagram: CloningDiagram, readout, states: Sequence | None = None
 ) -> DiagramReport:
     """The cloning diagram checked state by state: c o (psi x beta x rho)
-    against psi x psi x f(psi), each side built from single-state arrows."""
+    against psi x psi x f(psi), each side built from single-state arrows.
+    ``readout`` maps one state to its machine state, in place of the
+    diagram's own readout, which takes a family."""
     if states is None:
         states = instance.sample_states(diagram.object_a)
     beta_arrow = instance.state_arrow(diagram.object_a, diagram.beta)
@@ -351,7 +356,7 @@ def check_cloning_diagram(
         psi_arrow = instance.state_arrow(diagram.object_a, psi)
         prepared = instance.tensor(instance.tensor(psi_arrow, beta_arrow), rho_arrow)
         lhs = instance.compose(diagram.arrow_c, prepared)
-        f_arrow = instance.state_arrow(diagram.machine_b, diagram.readout(psi))
+        f_arrow = instance.state_arrow(diagram.machine_b, readout(psi))
         rhs = instance.tensor(instance.tensor(psi_arrow, psi_arrow), f_arrow)
         results.append((psi, instance.equal(lhs, rhs)))
     return DiagramReport(
@@ -369,6 +374,38 @@ def slice_amplitudes(U, x, beta, rho):
     from symclone import kron
 
     return kron(x, x).conj() @ (U @ kron(kron(x, beta), rho)).reshape(len(x) ** 2, -1)
+
+
+def hilbert_readout(U, beta, rho):
+    """The readout of the Hilbert diagram of U, beta and rho, one state at a
+    time: the normalized ``slice_amplitudes``, or the first machine basis
+    state where their norm is below FLOAT_TOL."""
+    import numpy as np
+
+    from symclone.quantum import FLOAT_TOL
+
+    def readout(x):
+        amps = slice_amplitudes(U, np.asarray(x, dtype=complex), beta, rho)
+        norm = float(np.linalg.norm(amps))
+        return amps / norm if norm >= FLOAT_TOL else np.eye(len(amps))[:, 0].astype(complex)
+
+    return readout
+
+
+def process_readout(process: CloningProcess):
+    """The readout of a process's diagram, one state at a time: x -> F x +
+    f(0), with f(0) the machine block of phi applied to (0, blank, ready),
+    each product taken row by row over Fractions."""
+    dm = process.object_dim
+    prepared = [_ZERO] * dm + list(process.blank) + list(process.ready)
+    offset = [sum((a * b for a, b in zip(row, prepared)), _ZERO) for row in process.phi.tolist()[2 * dm :]]
+    grid = process.readout.tolist()
+
+    def readout(x):
+        x = vec(x)
+        return tuple(sum((a * b for a, b in zip(row, x)), c) for row, c in zip(grid, offset))
+
+    return readout
 
 
 def check_traditional_diagram(

@@ -186,7 +186,7 @@ def test_criterion_7_categorical_coherence():
         states = inst.sample_states(m_form)
         diagram = CloningDiagram(
             object_a=m_form, beta=zero_vec(2), machine_b=inst.unit, rho=(),
-            arrow_c=cand, readout=lambda psi: (),
+            arrow_c=cand, readout=lambda psi: inst.family(inst.unit, [()] * psi.source_dim),
         )
         generic = check_cloning_diagram(inst, diagram, states)
         direct = check_traditional_diagram(inst, m_form, zero_vec(2), cand, states)

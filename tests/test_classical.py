@@ -770,6 +770,29 @@ class TestBatchedLbfgs:
         got = classical._lbfgs(batch, starts, maxiter)
         assert got.tolist() == [oracles.lbfgs(alone, row, maxiter) for row in starts]
 
+    def test_backtracking_takes_at_most_twenty_halvings(self):
+        # row (c, z) minimizes c z^2 - z from z = 0; the first step has
+        # length 1 along -grad and meets the Armijo test once halved to
+        # at most 0.9999 / c: 0 to 20 halvings below c = 0.9999 * 2^20,
+        # more beyond, where the row stops with its start value
+        cs = [0.5, 6.0, 0.75 * 2**10, 0.75 * 2**19, 0.75 * 2**20, 0.99 * 2**20, 0.75 * 2**21, 0.75 * 2**25]
+
+        def objective(x):
+            c, z = x[:, 0], x[:, 1]
+            return c * z * z - z, np.stack([np.zeros_like(z), 2 * c * z - 1], axis=1)
+
+        def alone(row):
+            f, g = objective(row[None])
+            return f[0], g[0]
+
+        starts = np.array([[c, 0.0] for c in cs])
+        for maxiter in (1, 5):
+            got = classical._lbfgs(objective, starts, maxiter)
+            assert got.tolist() == [oracles.lbfgs(alone, row, maxiter) for row in starts]
+            # 0, 3, 10, 19, 20 and 20 halvings move the first six rows; the
+            # last two would need 21 and 25, and return their start value 0
+            assert [x < 0 for x in got] == [True] * 6 + [False] * 2
+
     def test_rows_stop_for_different_reasons(self):
         stationary, ftol, maxiter, uphill, gtol, curved = self.STARTS
         # max |grad| <= _GTOL before the first step: the start is returned

@@ -22,7 +22,7 @@ from symclone.quantum import (
     random_state,
 )
 from conftest import kernel_examples
-from oracles import complex_matrix_to_json, slice_amplitudes
+from oracles import complex_matrix_to_json, hilbert_readout, slice_amplitudes
 
 CNOT = np.array(
     [
@@ -271,21 +271,58 @@ class TestSliceAmplitudes:
 
 
 class TestDiagramReadout:
+    """The readout takes a block of states, the columns of Psi, and makes one
+    product with W; the reference reads out one state at a time."""
+
+    @staticmethod
+    def assert_columns_match_the_reference(U, beta, rho, states):
+        _, diagram = hilbert_cloning_diagram(U, beta, rho)
+        got = diagram.readout(np.stack(states, axis=1))
+        assert got.shape == (len(rho), len(states))
+        reference = hilbert_readout(U, beta, rho)
+        for col, x in zip(got.T, states):
+            assert np.max(np.abs(col - reference(x))) <= 1e-12
+        return got
+
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=kernel_examples(50), deadline=None)
     def test_reads_the_slice_amplitudes_of_the_output(self, d, dk, seed):
-        # the readout multiplies psi by U (I x beta x rho), formed once; the
+        # the readout multiplies Psi by U (I x beta x rho), formed once; the
         # reference multiplies psi x beta x rho by U
         rng = np.random.default_rng(seed)
         U = random_isometry(d * d * dk, d * d * dk, rng)
         beta, rho = random_state(d, rng), random_state(dk, rng)
         _, diagram = hilbert_cloning_diagram(U, beta, rho)
-        for _ in range(3):
-            x = random_state(d, rng)
+        xs = [random_state(d, rng) for _ in range(3)]
+        for x, col in zip(xs, diagram.readout(np.stack(xs, axis=1)).T):
             amps = slice_amplitudes(U, x, beta, rho)
             norm = float(np.linalg.norm(amps))
             if norm >= 1e-2:  # a smaller norm magnifies the rounding of both
-                assert np.max(np.abs(diagram.readout(x) - amps / norm)) <= 1e-12
+                assert np.max(np.abs(col - amps / norm)) <= 1e-12
+
+    @pytest.mark.parametrize("count", [1, 256, 257])
+    def test_a_block_matches_the_per_state_reference(self, count):
+        # the numeric benchmark's size, d = 4 beside a 16-dimensional machine
+        rng = np.random.default_rng(count)
+        U = random_isometry(256, 256, rng)
+        beta, rho = random_state(4, rng), random_state(16, rng)
+        self.assert_columns_match_the_reference(U, beta, rho, [random_state(4, rng) for _ in range(count)])
+
+    def test_fallback_and_ordinary_columns_in_one_block(self):
+        # the basis cloner beside an idle machine maps psi to amplitudes
+        # sum_a |psi_a|^2 conj(psi_a) rho on the slice, which vanish at the
+        # Fourier state (1, w, w^2) / sqrt(3); the identity's slice has the
+        # one amplitude conj(psi_1), below FLOAT_TOL at psi_1 = 1e-10
+        rng = np.random.default_rng(3)
+        w = np.exp(2j * np.pi / 3)
+        fourier = np.array([1, w, w * w]) / math.sqrt(3)
+        states = [fourier, np.eye(3)[:, 1], random_state(3, rng), fourier.conj(), random_state(3, rng)]
+        U = np.kron(basis_cloner(3), np.eye(2))
+        got = self.assert_columns_match_the_reference(U, np.eye(3)[:, 0], random_state(2, rng), states)
+        assert [np.array_equal(col, [1, 0]) for col in got.T] == [True, False, False, True, False]
+        states = [np.array([1.0, eps]) / math.hypot(1.0, eps) for eps in (1.0, 0.0, 1e-8, 1e-10, 2e-9)]
+        got = self.assert_columns_match_the_reference(np.eye(8), [0.0, 1.0], [0.0, 1.0], states)
+        assert [np.array_equal(col, [1, 0]) for col in got.T] == [False, True, False, True, False]
 
 
 class TestComplexSerialization:
