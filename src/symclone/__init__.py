@@ -6,10 +6,12 @@ a finite-dimensional quantum no-cloning refuter, and a generic cloning-diagram
 checker for symmetric monoidal categories.
 
 The exact side imports nothing outside the standard library.  The float side
-(``symclone.quantum``: the refuter and the Hilbert diagram instance) needs
-numpy, so its names load on first access (PEP 562) and ``import symclone``
-alone does not load numpy.  The names of ``symclone.diagrams`` load on first
-access too: of the CLI commands only ``diagram-check`` needs them.
+(``symclone.quantum``: the refuter and the Hilbert diagram instance;
+``symclone.probe``: the residual probe) needs numpy, which the ``float``
+extra installs (``pip install "symclone[float]"``), so its names load on
+first access (PEP 562) and ``import symclone`` alone does not load numpy.
+The names of ``symclone.diagrams`` load on first access too: of the CLI
+commands only ``diagram-check`` needs them.
 """
 
 import importlib as _importlib
@@ -36,7 +38,6 @@ from .classical import (
     SizeWitness,
     VerificationReport,
     basic_cloner,
-    clone_residual_probe,
     defect_floor,
     general_cloner,
     mirror_cloner,
@@ -73,6 +74,8 @@ _LAZY = {
     ),
 }
 _LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+# the probe's one public name; its module stays out of __all__
+_LAZY_SOURCE["clone_residual_probe"] = "probe"
 
 __all__ = sorted(
     [name for name in globals() if not name.startswith("_")]

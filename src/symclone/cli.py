@@ -31,7 +31,6 @@ from .classical import (
     CloningProcess,
     InfeasibleError,
     basic_cloner,
-    clone_residual_probe,
     general_cloner,
     readout_solver,
     size_witness,
@@ -233,6 +232,9 @@ def _cmd_probe(args) -> int:
         raise ValueError("--seed must be nonnegative")
     if args.iters < 1:
         raise ValueError("--iters must be at least 1")
+    # imported here, after the option checks: the module needs numpy
+    from .probe import clone_residual_probe
+
     best = clone_residual_probe(args.m, args.k, args.iters, args.seed)
     out = {"best_defect": best, "forced_lower_bound": math.sqrt(2 * (args.m - args.k)),
            "m": args.m, "k": args.k, "iters": args.iters, "seed": args.seed}

@@ -5,9 +5,9 @@ would-be machine readout; it exhibits the overlap contradiction that the
 existence of a copying isometry would force, plus a concrete distance from
 the machine's actual output to the nearest legal clone.  The Hilbert-space
 instance of the diagram checker (``hilbert_instance``, ``hilbert_cloning_diagram``
-and the reader of its file, ``hilbert_diagram_from_json``) is here too: this
-module and ``classical.clone_residual_probe`` are the only parts of symclone
-that load numpy.
+and the reader of its file, ``hilbert_diagram_from_json``) is here too.  This
+module and ``symclone.probe`` are the only parts of symclone that load
+numpy, which the ``float`` extra installs.
 """
 
 from __future__ import annotations
@@ -50,9 +50,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product.reshape([m * n for m, n in zip(sa, sb)])
 
 
-def isometry_defect(U: np.ndarray) -> float:
-    """Max-entry deviation of U†U from the identity."""
+def _as_map(U) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
+    if U.ndim != 2:
+        raise ShapeError(f"U must be a matrix, got an array of shape {U.shape}")
+    return U
+
+
+def isometry_defect(U: np.ndarray) -> float:
+    """Max-entry deviation of U†U from the identity; U must be a matrix."""
+    U = _as_map(U)
     n = U.shape[1]
     gram = U.conj().T @ U
     gram.flat[:: n + 1] -= 1.0  # minus the identity, in place: no n x n temporaries
@@ -63,7 +70,7 @@ def isometry_defect(U: np.ndarray) -> float:
 def is_isometry(U: np.ndarray) -> bool:
     """True iff U preserves inner products up to FLOAT_TOL; a map into a
     smaller space can never qualify."""
-    U = np.asarray(U, dtype=complex)
+    U = _as_map(U)
     if U.shape[0] < U.shape[1]:
         return False
     return isometry_defect(U) <= FLOAT_TOL

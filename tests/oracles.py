@@ -26,7 +26,7 @@ vectors, and ``complex_matrix_to_json`` writes a complex matrix in the layout
 of Hilbert diagram files; the program needs neither.  ``lbfgs`` and
 ``clone_residual_probe`` run the residual probe's restarts one after
 another, one L-BFGS run each, on ``probe_objective``, where Xi is applied by
-a dense product; each row of the batched ``classical._lbfgs`` must return,
+a dense product; each row of the batched ``probe._lbfgs`` must return,
 bit for bit, what ``lbfgs`` returns from that row alone.  ``transvection``
 builds the symplectic shears whose products the conjugation law of cloning
 processes is tested with.
@@ -447,13 +447,13 @@ def check_traditional_diagram(
 def lbfgs(objective, x, maxiter: int) -> float:
     """One L-BFGS run from the vector x, as the probe ran its restarts one
     after another: ``objective`` maps a point to its value and gradient, and
-    the rules are those of ``classical._lbfgs`` for a single row."""
+    the rules are those of ``probe._lbfgs`` for a single row."""
     import math
     from collections import deque
 
     import numpy as np
 
-    from symclone.classical import _FTOL, _GTOL
+    from symclone.probe import _FTOL, _GTOL
 
     f, g = objective(x)
     pairs: deque = deque(maxlen=5)  # (s, y, 1 / y.s)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symclone
-from symclone import classical
+from symclone import classical, probe
 from symclone import (
     CloningProcess,
     CloningVerificationError,
@@ -742,7 +742,7 @@ class TestBatchedLbfgs:
 
     @pytest.mark.parametrize("maxiter", [1, 2, 12, 40])
     def test_rows_match_their_runs_alone(self, maxiter):
-        got = classical._lbfgs(_tagged_objective, np.array(self.STARTS, dtype=float), maxiter)
+        got = probe._lbfgs(_tagged_objective, np.array(self.STARTS, dtype=float), maxiter)
         want = [self.alone(row, maxiter) for row in self.STARTS]
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-300)
 
@@ -767,7 +767,7 @@ class TestBatchedLbfgs:
 
         rng = np.random.default_rng(seed)
         starts = (pinned + free * rng.standard_normal((8, *pinned.shape))).reshape(8, -1)
-        got = classical._lbfgs(batch, starts, maxiter)
+        got = probe._lbfgs(batch, starts, maxiter)
         assert got.tolist() == [oracles.lbfgs(alone, row, maxiter) for row in starts]
 
     def test_backtracking_takes_at_most_twenty_halvings(self):
@@ -787,7 +787,7 @@ class TestBatchedLbfgs:
 
         starts = np.array([[c, 0.0] for c in cs])
         for maxiter in (1, 5):
-            got = classical._lbfgs(objective, starts, maxiter)
+            got = probe._lbfgs(objective, starts, maxiter)
             assert got.tolist() == [oracles.lbfgs(alone, row, maxiter) for row in starts]
             # 0, 3, 10, 19, 20 and 20 halvings move the first six rows; the
             # last two would need 21 and 25, and return their start value 0

@@ -778,16 +778,19 @@ class TestNumpyFree:
         script = (
             "import contextlib, io, json, sys\n"
             "import symclone.cli\n"
-            "heavy = ['dataclasses', 'inspect', 'symclone.diagrams', 'numpy']\n"
+            "heavy = ['dataclasses', 'inspect', 'symclone.diagrams', 'symclone.probe', 'numpy']\n"
             "loaded = [name for name in heavy if name in sys.modules]\n"
+            "compiled = '_lbfgs' in vars(symclone.classical)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = symclone.cli.run(['diagram-check', '--instance', 'symp', '--input', sys.argv[1]])\n"
-            "print(json.dumps([loaded, code, 'symclone.diagrams' in sys.modules]))\n"
+            "after = [name for name in heavy if name in sys.modules]\n"
+            "print(json.dumps([loaded, compiled, code, after]))\n"
         )
         out = subprocess.run([sys.executable, "-c", script, str(basic)], env=SRC_ENV,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == [[], 0, True]
+        # the probe's code is in a module of its own, which no exact command loads
+        assert json.loads(out.stdout) == [[], False, 0, ["symclone.diagrams"]]
 
     def test_import_loads_no_numpy(self):
         out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import symclone.cli"],

@@ -1,5 +1,5 @@
-"""The package namespace: eager exact names, lazily served diagram and
-quantum names."""
+"""The package namespace: eager exact names, lazily served diagram, quantum
+and probe names."""
 
 import pytest
 
@@ -46,6 +46,11 @@ def test_lazy_names_are_the_quantum_objects():
     assert symclone.diagrams is diagrams
     assert symclone.check_cloning_diagram is diagrams.check_cloning_diagram
     assert symclone.symplectic_instance is diagrams.symplectic_instance
+    # the probe's name is one object from the package, classical and its module
+    from symclone import classical, probe
+
+    assert symclone.clone_residual_probe is probe.clone_residual_probe
+    assert classical.clone_residual_probe is probe.clone_residual_probe
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from symclone import (
     HypothesisViolationError,
+    ShapeError,
     basis_cloner,
     hilbert_cloning_diagram,
     is_isometry,
@@ -135,6 +137,17 @@ class TestIsIsometry:
         old = float(np.max(np.abs(gram - np.eye(u.shape[1])), initial=0.0))
         assert isometry_defect(u) == old
 
+    @pytest.mark.parametrize(
+        "u", [np.ones(4), np.stack([np.eye(2)] * 2), np.ones(())], ids=["vector", "stack", "scalar"]
+    )
+    def test_an_array_that_is_no_matrix_is_refused_by_shape(self, u):
+        # a vector used to raise IndexError, and the stack of two identities
+        # to give a defect of 1.0 and a plain False
+        message = f"U must be a matrix, got an array of shape {u.shape}"
+        for check in (isometry_defect, is_isometry):
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                check(u)
+
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
     def test_map_with_no_columns_is_vacuously_an_isometry(self, shape):
         assert isometry_defect(np.zeros(shape)) == 0.0
@@ -221,6 +234,13 @@ class TestRefutation:
         psi2 = np.array([1.0, 1.0]) / math.sqrt(2)
         with pytest.raises(ValueError, match="isometry"):
             refute_cloning(2.0 * np.eye(4), e0, [1.0], e0, psi2)
+
+    @pytest.mark.parametrize("u", [np.ones(4), np.stack([np.eye(4)] * 2)], ids=["vector", "stack"])
+    def test_an_array_that_is_no_matrix_is_refused(self, u):
+        e0 = np.eye(2)[:, 0]
+        psi2 = np.array([1.0, 1.0]) / math.sqrt(2)
+        with pytest.raises(ShapeError, match="U must be a matrix"):
+            refute_cloning(u, e0, [1.0], e0, psi2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", ["beta", "rho", "psi", "psi2"])
