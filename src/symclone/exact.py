@@ -18,14 +18,27 @@ each block are scaled by column or each by its own lcm, whichever puts
 fewer bits on them, and the two groups keep one shared denominator each.
 Floating point only appears in the numerical probe and the quantum module,
 never here.
+
+The kernels that allocate in bulk (the dense-grid parse in ``RatMatrix``,
+products, ``rref``, ``rank``, ``symplectic_defect`` and the Darboux walk)
+run with CPython's cyclic garbage collector paused.  They build only acyclic
+objects (Fractions, ints, tuples and lists of them), which reference counting
+frees, so a collection during a kernel scans thousands of fresh objects and
+finds nothing to free.  The collector's state is restored when the kernel
+returns or raises, and a kernel entered with the collector already off leaves
+it off.  The pause is process-wide: while a kernel runs, cyclic garbage that
+another thread makes waits for the kernel to return.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import re
 import sys
 from bisect import bisect_left
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter, mul
@@ -38,6 +51,37 @@ class ShapeError(ValueError):
 
 class DegenerateFormError(ValueError):
     """A bilinear form that must be nondegenerate has a nontrivial kernel."""
+
+
+def _paused(kernel):
+    """Run ``kernel`` with the cyclic garbage collector off, then turn it
+    back on if it was on at entry (see the module docstring)."""
+
+    @functools.wraps(kernel)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return kernel(*args, **kwargs)
+        gc.disable()
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return run
+
+
+# iterable, but never a grid, row or vector: a string or bytes would parse
+# character by character, a mapping by its keys, a set in hash order
+_NOT_SEQUENCES = (str, bytes, bytearray, Mapping, Set)
+
+
+def _sequence(x, of: str):
+    """x, which must be a sequence of ``of`` and not one of _NOT_SEQUENCES.
+    A list or tuple, what parsed JSON and the constructors pass, skips the
+    slower abstract-class checks."""
+    if not isinstance(x, (list, tuple)) and isinstance(x, _NOT_SEQUENCES):
+        raise TypeError(f"expected a sequence of {of}, got {type(x).__name__}")
+    return x
 
 
 # a canonical rational "p" or "p/q": what str(Fraction) writes, and all
@@ -83,7 +127,7 @@ _ONE = Fraction(1)
 
 def vec(entries: Iterable) -> RatVector:
     """Coerce an iterable of ints/strings/Fractions to an exact vector."""
-    return tuple(_frac(x) for x in entries)
+    return tuple(map(_frac, _sequence(entries, "entries")))
 
 
 def zero_vec(n: int) -> RatVector:
@@ -264,11 +308,12 @@ class RatMatrix:
 
     __slots__ = ("rows", "cols", "_nz")
 
+    @_paused
     def __init__(self, entries: Sequence[Sequence]):
         entry = _Parsed().__getitem__
         grid = []
-        for row in entries:
-            row = tuple(row)
+        for row in _sequence(entries, "rows"):
+            row = tuple(_sequence(row, "entries"))
             try:
                 grid.append(tuple(map(entry, row)))
             except TypeError:
@@ -350,6 +395,7 @@ class RatMatrix:
             raise ShapeError(f"cannot subtract {other.shape} from {self.shape}")
         return self + -other
 
+    @_paused
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
@@ -406,6 +452,7 @@ class RatMatrix:
 
     # -- elimination -------------------------------------------------------
 
+    @_paused
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
         m = _dense(_int_rows(self), self.cols)
@@ -415,6 +462,7 @@ class RatMatrix:
         red += [()] * (self.rows - len(pivots))
         return RatMatrix._raw(tuple(red), self.cols), pivots
 
+    @_paused
     def rank(self) -> int:
         return len(_forward(_dense(_int_rows(self), self.cols), self.cols))
 
@@ -578,6 +626,7 @@ def _block_scales(rows, block: range) -> tuple[dict[int, int], list[int] | None]
     return cs, rs
 
 
+@_paused
 def symplectic_defect(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> RatMatrix:
     """Exact residual S^T . form_out . S - form_in; zero iff S is symplectic.
 
@@ -672,6 +721,7 @@ def darboux_basis(form: SkewForm) -> RatMatrix:
     return _darboux(form)[0]
 
 
+@_paused
 def _darboux(form: SkewForm) -> tuple[RatMatrix, RatMatrix]:
     """``darboux_basis(form)`` and P^T . form.matrix, from one walk.
 

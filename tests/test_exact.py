@@ -1,3 +1,5 @@
+import gc
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +11,9 @@ from symclone import (
     CloningProcess,
     DegenerateFormError,
     basic_cloner,
+    check_cloning_diagram,
+    defect_floor,
+    diagram_from_process,
     general_cloner,
     mirror_cloner,
     readout_solver,
@@ -20,6 +25,7 @@ from symclone import (
     direct_sum,
     form_kernel,
     is_symplectic_map,
+    size_witness,
     standard_form,
     symplectic_defect,
     vec,
@@ -862,3 +868,139 @@ class TestParsing:
     def test_non_skew_matrices_are_rejected_with_the_same_message(self, grid):
         with pytest.raises(ValueError, match="^matrix is not skew-symmetric$"):
             SkewForm(RatMatrix(grid))
+
+
+class TestEntryContainers:
+    """Strings, bytes, mappings and sets iterate, but never as a grid, row or
+    vector: "12" would parse as (1, 2), b"12" as (49, 50)."""
+
+    CONTAINERS = ["12", b"12", bytearray(b"12"), {"1": 0, "2": 0}, {1, 2}, frozenset({1, 2})]
+    IDS = ["str", "bytes", "bytearray", "dict", "set", "frozenset"]
+
+    @staticmethod
+    def refused(of: str, x):
+        return pytest.raises(TypeError, match=f"^expected a sequence of {of}, got {type(x).__name__}$")
+
+    @pytest.mark.parametrize("row", CONTAINERS, ids=IDS)
+    def test_a_row_is_refused_by_type(self, row):
+        with self.refused("entries", row):
+            RatMatrix([[3, 4], row])
+
+    @pytest.mark.parametrize("entries", CONTAINERS, ids=IDS)
+    def test_a_vector_is_refused_by_type(self, entries):
+        with self.refused("entries", entries):
+            vec(entries)
+        with self.refused("entries", entries):
+            J2.apply(entries)
+
+    @pytest.mark.parametrize("grid", ["12", {(1, 2): 0}, {(1, 2), (3, 4)}], ids=["str", "dict", "set"])
+    def test_a_grid_is_refused_by_type(self, grid):
+        with self.refused("rows", grid):
+            RatMatrix(grid)
+
+    def test_sequences_still_parse(self):
+        grid = ((1, "2"), [Fraction(3), "4/2"], range(2))
+        assert RatMatrix(grid).tolist() == [[1, 2], [3, 2], [0, 1]]
+        assert vec(x for x in ["1/2", 3]) == (Fraction(1, 2), 3)
+
+
+def _restore_collector(was: bool) -> None:
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector(request):
+    """Run the test with the cyclic collector on or off, restoring it after."""
+    was = gc.isenabled()
+    _restore_collector(request.param)
+    try:
+        yield request.param
+    finally:
+        _restore_collector(was)
+
+
+_FORM4 = RatMatrix([[0, 2, 1, 0], [-2, 0, 0, 3], [-1, 0, 0, 1], [0, -3, -1, 0]])
+
+
+class TestCollectorPause:
+    """The kernels that run with the cyclic collector paused leave
+    ``gc.isenabled()`` as they found it, whether they return or raise."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda: RatMatrix([[0, "1/2"], ["-1/2", 0]]),
+            lambda: RatMatrix.from_json(J2.to_json()),
+            lambda: _FORM4 @ _FORM4,
+            lambda: _FORM4.rref(),
+            lambda: _FORM4.rank(),
+            lambda: symplectic_defect(_FORM4, standard_form(2), SkewForm(_FORM4)),
+            lambda: _darboux(SkewForm(_FORM4)),
+            # nested: inverse runs rref, darboux_basis the walk, and
+            # SkewForm.from_json parses the grid and then checks its rank
+            lambda: _FORM4.inverse(),
+            lambda: darboux_basis(SkewForm(_FORM4)),
+            lambda: SkewForm.from_json(SkewForm(_FORM4).to_json()),
+            lambda: general_cloner(SkewForm(_FORM4)),
+        ],
+        ids=[
+            "parse", "from_json", "matmul", "rref", "rank", "symplectic_defect", "darboux",
+            "inverse", "darboux_basis", "SkewForm.from_json", "general_cloner",
+        ],
+    )
+    def test_state_is_kept_on_return(self, collector, kernel):
+        kernel()
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "kernel, error",
+        [
+            (lambda: RatMatrix([[1, 2], [3]]), ShapeError),
+            (lambda: RatMatrix([[1, 2.5]]), TypeError),
+            (lambda: RatMatrix([[1, [2]]]), TypeError),
+            (lambda: _FORM4 @ J2, ShapeError),
+            (lambda: symplectic_defect(J2, standard_form(2), standard_form(1)), ShapeError),
+            (
+                lambda: SkewForm.from_json({**J2.to_json(), "dim": 2, "entries": [[0, "x"], [0, 0]]}),
+                ValueError,
+            ),
+            (lambda: _darboux(SkewForm._trusted(RatMatrix.zeros(2, 2))), DegenerateFormError),
+        ],
+        ids=[
+            "ragged", "float", "unhashable", "matmul shape", "defect shape", "nested parse",
+            "degenerate walk",
+        ],
+    )
+    def test_state_is_kept_on_raise(self, collector, kernel, error):
+        with pytest.raises(error):
+            kernel()
+        assert gc.isenabled() is collector
+
+    def test_the_parse_runs_paused(self, collector):
+        seen = []
+
+        class Row(list):
+            def __iter__(self):
+                seen.append(gc.isenabled())
+                return super().__iter__()
+
+        RatMatrix([Row([1, 2]), Row([3, 4])])
+        assert seen == [False, False]
+        assert gc.isenabled() is collector
+
+    def test_the_exact_ops_make_no_cyclic_garbage(self):
+        # the premise of the pause: an op sequence that runs every paused
+        # kernel leaves nothing for the collector to free
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            process = general_cloner(random_skew_form(8, random.Random(8)))
+            assert verify_cloning(process).passed
+            back = CloningProcess.from_json(json.loads(json.dumps(process.to_json())))
+            assert back == process
+            assert check_cloning_diagram(*diagram_from_process(back)).passed
+            size_witness(defect_floor(2, 1)[0])
+            assert gc.collect() == 0
+        finally:
+            _restore_collector(was)
