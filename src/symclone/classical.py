@@ -64,17 +64,19 @@ def _vec_from_json(data: dict, key: str) -> RatVector:
 
 class CloningProcess(Record):
     """A copying process: object space, blank state, machine space, ready state,
-    the full linear map on object x copy x machine, and the machine readout."""
+    the full linear map on object x copy x machine, and the machine readout.
+    Blank and ready are stored as exact vectors, coerced by ``vec``."""
 
     def __init__(
         self,
         object_form: SkewForm,
-        blank: RatVector,
+        blank: Sequence,
         machine_form: SkewForm,
-        ready: RatVector,
+        ready: Sequence,
         phi: RatMatrix,
         readout: RatMatrix,
     ):
+        blank, ready = vec(blank), vec(ready)
         dm, dn = object_form.dim, machine_form.dim
         if len(blank) != dm or len(ready) != dn:
             raise ShapeError("blank/ready lengths do not match the form dimensions")
@@ -365,7 +367,7 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
             reason = why
 
     # image of the blank/ready offset: must be (0, 0, f(0))
-    base = c.phi._apply(zero_vec(dm) + c.blank + c.ready)
+    base = c.phi.apply(zero_vec(dm) + c.blank + c.ready)
     leak = tuple((j, x) for j, x in enumerate(base[: 2 * dm]) if x)
     for _, x in leak:
         track(abs(x), "offset image leaks into the object/copy blocks")
@@ -480,8 +482,8 @@ def size_witness(candidate: CloningProcess) -> SizeWitness:
     F = candidate.readout
     # rank(F) <= 2k < 2m guarantees a kernel vector
     w = form_kernel(F)[0]
-    pullback_row = F.T._apply(candidate.machine_form.matrix._apply(F._apply(w)))
-    omega_w = candidate.object_form.matrix._apply(w)
+    pullback_row = F.T.apply(candidate.machine_form.matrix.apply(F.apply(w)))
+    omega_w = candidate.object_form.matrix.apply(w)
     j = next(i for i, x in enumerate(omega_w) if x)
     partner = tuple(Fraction(i == j) for i in range(dm))
     pairing = omega_w[j]  # omega(partner, w), partner being basis vector j

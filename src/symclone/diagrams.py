@@ -19,7 +19,6 @@ and fails ``verify_cloning``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -27,15 +26,6 @@ from ._record import Record
 from .exact import (
     _ONE, _ZERO, RatMatrix, RatVector, ShapeError, SkewForm, _transpose, _vec_add, vec, zero_vec,
 )
-
-
-def _exact_state(x) -> RatVector:
-    """x as an exact vector.  A tuple of Fractions (a sampled state, or a
-    state already coerced) is returned as it is; anything else goes through
-    ``vec``, which rejects booleans and floats."""
-    if type(x) is tuple and all(type(e) is Fraction for e in x):
-        return x
-    return vec(x)
 
 
 # ---------------------------------------------------------------------------
@@ -70,107 +60,93 @@ class AffineMap(Record):
 # instances
 
 
-class DiagramInstance(Record):
-    """One symmetric monoidal category, packaged as callables.
+class DiagramInstance:
+    """One symmetric monoidal category, as the checker uses it.
 
-    States of an object are arrows from the unit object; ``state_arrow``
-    embeds a raw state (a vector) as such an arrow, and ``sample_states(obj,
-    count, rng)`` produces the vectors the checker will quantify over, adding
-    ``count`` random states drawn with ``rng`` (a seed or a numpy Generator)
-    if the instance draws any.  ``exhaustive`` records whether that sample
-    decides the universally quantified diagram condition (true for the
-    symplectic instance, where linearity reduces the condition to basis
-    states plus zero, so it draws none).
+    An instance is an object of a subclass that sets the class attributes
+    ``name``, ``unit`` (the unit object) and ``exhaustive`` and defines the
+    methods below.  The two instances here hold no state: each is one shared
+    object of a private subclass, returned by ``symplectic_instance()`` and
+    ``quantum.hilbert_instance()``.
 
-    The checker takes N states at once as a family: an arrow from an
-    N-dimensional index object whose i-th member is state i, built by
-    ``family(obj, states)``.  ``compose`` and ``tensor`` with single-state
-    arrows act on every member at once; ``pair(g, h)`` is the member-wise
-    tensor of two families, whose member i is g's member i tensored with h's,
-    and ``members_equal(g, h)`` is the list of arrow equalities of the
-    members, as Python bools.  A diagram's readout maps a family of states
-    of its object to the family of their machine states.
+    - ``compose(g, h)`` is g after h, ``tensor(g, h)`` the monoidal product
+      and ``equal(g, h)`` arrow equality.
+    - States of an object are arrows from the unit object; ``state_arrow(obj,
+      x)`` embeds a raw state (a vector) as such an arrow.
+    - ``sample_states(obj, count, rng)`` produces the vectors the checker
+      quantifies over, adding ``count`` random states drawn with ``rng`` (a
+      seed or a numpy Generator) if the instance draws any.  ``exhaustive``
+      records whether that sample decides the universally quantified diagram
+      condition (true for the symplectic instance, where linearity reduces
+      the condition to basis states plus zero, so it draws none).
+    - The checker takes N states at once as a family: an arrow from an
+      N-dimensional index object whose i-th member is state i, built by
+      ``family(obj, states)``.  ``compose`` and ``tensor`` with single-state
+      arrows act on every member at once; ``pair(g, h)`` is the member-wise
+      tensor of two families, whose member i is g's member i tensored with
+      h's, and ``members_equal(g, h)`` is the list of arrow equalities of the
+      members, as Python bools.
+
+    A diagram's readout maps a family of states of its object to the family
+    of their machine states.
     """
 
-    def __init__(
-        self,
-        name: str,
-        unit: Any,
-        compose: Callable[[Any, Any], Any],
-        tensor: Callable[[Any, Any], Any],
-        equal: Callable[[Any, Any], bool],
-        state_arrow: Callable[[Any, Any], Any],
-        family: Callable[[Any, Sequence], Any],
-        pair: Callable[[Any, Any], Any],
-        members_equal: Callable[[Any, Any], list[bool]],
-        sample_states: Callable[..., list],
-        exhaustive: bool,
-    ):
-        self.__dict__.update(
-            name=name, unit=unit, compose=compose, tensor=tensor, equal=equal,
-            state_arrow=state_arrow, family=family, pair=pair, members_equal=members_equal,
-            sample_states=sample_states, exhaustive=exhaustive,
-        )
+    __slots__ = ()
 
 
-def symplectic_instance() -> DiagramInstance:
-    """Symplectic vector spaces; arrows are affine maps, equality is exact."""
-
+class _Symplectic(DiagramInstance):
+    __slots__ = ()
+    name = "symplectic"
     unit = SkewForm(RatMatrix.zeros(0, 0))
+    exhaustive = True
 
-    def compose(g: AffineMap, h: AffineMap) -> AffineMap:
+    def compose(self, g: AffineMap, h: AffineMap) -> AffineMap:
         if h.target_dim != g.source_dim:
             raise ShapeError("arrows do not compose")
-        return AffineMap(g.matrix @ h.matrix, _vec_add(g.matrix._apply(h.offset), g.offset))
+        return AffineMap(g.matrix @ h.matrix, _vec_add(g.matrix.apply(h.offset), g.offset))
 
-    def tensor(g: AffineMap, h: AffineMap) -> AffineMap:
+    def tensor(self, g: AffineMap, h: AffineMap) -> AffineMap:
         return AffineMap(RatMatrix.block_diag(g.matrix, h.matrix), g.offset + h.offset)
 
-    def equal(g: AffineMap, h: AffineMap) -> bool:
+    def equal(self, g: AffineMap, h: AffineMap) -> bool:
         return g.matrix == h.matrix and g.offset == h.offset
 
-    def state_arrow(obj: SkewForm, x) -> AffineMap:
-        x = _exact_state(x)
+    def state_arrow(self, obj: SkewForm, x) -> AffineMap:
+        x = vec(x)
         if len(x) != obj.dim:
             raise ShapeError("state length does not match the object dimension")
         return AffineMap(RatMatrix.zeros(obj.dim, 0), x)
 
-    def family(obj: SkewForm, states) -> AffineMap:
+    def family(self, obj: SkewForm, states) -> AffineMap:
         # the states as matrix columns, with a zero offset; an identity test
         # passes over the interned zeros without a Fraction call
-        cols = [state_arrow(obj, x).offset for x in states]
+        cols = [self.state_arrow(obj, x).offset for x in states]
         rows = tuple(tuple((j, x) for j, x in enumerate(col) if x is not _ZERO and x) for col in cols)
         return AffineMap(RatMatrix._raw(_transpose(rows, obj.dim), len(cols)), zero_vec(obj.dim))
 
-    def pair(g: AffineMap, h: AffineMap) -> AffineMap:
+    def pair(self, g: AffineMap, h: AffineMap) -> AffineMap:
         # g's rows over h's: both families index the same members
         return AffineMap(RatMatrix._raw(g.matrix._nz + h.matrix._nz, g.source_dim), g.offset + h.offset)
 
-    def members_equal(g: AffineMap, h: AffineMap) -> list[bool]:
+    def members_equal(self, g: AffineMap, h: AffineMap) -> list[bool]:
         # member i agrees iff column i of g - h is h's offset minus g's
         if g.target_dim != h.target_dim:
             return [False] * g.source_dim
         want = tuple((j, b - a) for j, (a, b) in enumerate(zip(g.offset, h.offset)) if a != b)
         return [col == want for col in (g.matrix - h.matrix).T._nz]
 
-    def sample_states(obj: SkewForm, count: int = 0, rng=None) -> list[RatVector]:
+    def sample_states(self, obj: SkewForm, count: int = 0, rng=None) -> list[RatVector]:
         # zero plus the basis: exhaustive for affine arrows, so count and rng go unused
         zero = zero_vec(obj.dim)
         return [zero] + [zero[:j] + (_ONE,) + zero[j + 1 :] for j in range(obj.dim)]
 
-    return DiagramInstance(
-        name="symplectic",
-        unit=unit,
-        compose=compose,
-        tensor=tensor,
-        equal=equal,
-        state_arrow=state_arrow,
-        family=family,
-        pair=pair,
-        members_equal=members_equal,
-        sample_states=sample_states,
-        exhaustive=True,
-    )
+
+_SYMPLECTIC = _Symplectic()
+
+
+def symplectic_instance() -> DiagramInstance:
+    """Symplectic vector spaces; arrows are affine maps, equality is exact."""
+    return _SYMPLECTIC
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +256,7 @@ def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:
     """
     inst = symplectic_instance()
     dm = process.object_dim
-    base = process.phi._apply(zero_vec(dm) + process.blank + process.ready)
+    base = process.phi.apply(zero_vec(dm) + process.blank + process.ready)
     diagram = CloningDiagram(
         object_a=process.object_form,
         beta=process.blank,

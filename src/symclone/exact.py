@@ -88,7 +88,7 @@ def _sequence(x, of: str):
 # that the constructor needs to parse it
 _CANONICAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 # a trailing decimal exponent, which Fraction(str) raises ten to before any check
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
 
 
 def _frac(x) -> Fraction:
@@ -98,13 +98,19 @@ def _frac(x) -> Fraction:
         p, q = m.groups()
         f = Fraction(int(p), int(q)) if q else Fraction(int(p))
     elif isinstance(x, (int, str)) and not isinstance(x, bool):
-        if isinstance(x, str) and (m := _EXPONENT.search(x)):
-            # refuse an exponent past the int digit limit, as int() refuses that
-            # many digits (0: no limit; Pythons without one get the default)
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-            digits = m[1].replace("_", "").lstrip("0")  # may be too long for int()
-            if limit and (len(digits) > len(str(limit)) or int(digits or 0) > limit):
-                raise ValueError(f"entry exponent past the {limit}-digit integer limit")
+        if isinstance(x, str):
+            if "_" in x:
+                # Fraction reads underscores between digits from Python 3.11 on and
+                # 3.10 refuses them: refused everywhere, with 3.10's message, a
+                # file gets one verdict on every version
+                raise ValueError(f"Invalid literal for Fraction: {x!r}")
+            if m := _EXPONENT.search(x):
+                # refuse an exponent past the int digit limit, as int() refuses that
+                # many digits (0: no limit; Pythons without one get the default)
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+                digits = m[1].lstrip("0")  # may be too long for int()
+                if limit and (len(digits) > len(str(limit)) or int(digits or 0) > limit):
+                    raise ValueError(f"entry exponent past the {limit}-digit integer limit")
         f = Fraction(x)
     else:
         raise TypeError(f"expected an exact rational entry, got {type(x).__name__}")
@@ -126,7 +132,13 @@ _ONE = Fraction(1)
 
 
 def vec(entries: Iterable) -> RatVector:
-    """Coerce an iterable of ints/strings/Fractions to an exact vector."""
+    """Coerce a sequence of ints/strings/Fractions to an exact vector.
+
+    A tuple of Fractions is already one and is returned as it is, after one
+    type test per entry; anything else is parsed entry by entry, and
+    booleans and floats are refused."""
+    if type(entries) is tuple and all(type(x) is Fraction for x in entries):
+        return entries
     return tuple(map(_frac, _sequence(entries, "entries")))
 
 
@@ -413,10 +425,8 @@ class RatMatrix:
         return RatMatrix._raw(tuple(out), other.cols)
 
     def apply(self, v: Sequence) -> RatVector:
-        return self._apply(vec(v))
-
-    def _apply(self, v: RatVector) -> RatVector:
-        # internal fast path: the vector's entries are already exact
+        """self . v, with v coerced by ``vec``: an exact vector is used as it is."""
+        v = vec(v)
         if len(v) != self.cols:
             raise ShapeError(f"cannot apply {self.shape} to a vector of length {len(v)}")
         # parsed zeros, zero_vec and rows with no terms here are the interned

@@ -244,80 +244,77 @@ def complex_vector_from_json(entries) -> np.ndarray:
 def hilbert_diagram_from_json(data: dict) -> tuple[DiagramInstance, CloningDiagram]:
     """The Hilbert diagram of a ``{"unitary", "beta", "rho"?}`` file, whose
     unitary must be an isometry and beta and rho unit vectors: amplitudes near
-    the double range would otherwise overflow into a verdict on inf and NaN."""
-    inst, diagram = hilbert_cloning_diagram(
-        complex_matrix_from_json(data["unitary"]),
-        complex_vector_from_json(data["beta"]),
-        complex_vector_from_json(data["rho"]) if "rho" in data else None,
-    )
-    # an overflow makes the isometry defect or the norm inf or NaN, which
-    # fails the check below; numpy need not warn about it as well
+    the double range would otherwise overflow into a verdict on inf and NaN.
+    These checks come before the diagram is built."""
+    U = complex_matrix_from_json(data["unitary"])
+    beta = complex_vector_from_json(data["beta"])
+    rho = complex_vector_from_json(data["rho"]) if "rho" in data else None
+    # an overflow makes the isometry defect or a norm inf or NaN, which fails
+    # the check; numpy need not warn about it as well
     with np.errstate(over="ignore", invalid="ignore"):
-        _as_state(diagram.beta, "beta")
-        _as_state(diagram.rho, "rho")
-        if not is_isometry(diagram.arrow_c):
+        _as_state(beta, "beta")
+        if rho is not None:
+            _as_state(rho, "rho")
+        if not is_isometry(U):
             raise ValueError("unitary is not an isometry at the module tolerance")
-    return inst, diagram
+    return hilbert_cloning_diagram(U, beta, rho)
 
 
 # ---------------------------------------------------------------------------
 # the Hilbert-space diagram instance
 
 
-def hilbert_instance() -> DiagramInstance:
-    """Finite-dimensional Hilbert spaces; arrows are complex matrices,
-    equality is entrywise within FLOAT_TOL.  Objects are dimensions."""
+class _Hilbert(DiagramInstance):
+    __slots__ = ()
+    name = "hilbert"
+    unit = 1
+    exhaustive = False
 
-    def compose(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def compose(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return np.asarray(g, dtype=complex) @ np.asarray(h, dtype=complex)
 
-    def tensor(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def tensor(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return kron(np.atleast_2d(g), np.atleast_2d(h))
 
-    def equal(g: np.ndarray, h: np.ndarray) -> bool:
+    def equal(self, g: np.ndarray, h: np.ndarray) -> bool:
         g, h = np.atleast_2d(g), np.atleast_2d(h)
         if g.shape != h.shape:
             return False
         return g.size == 0 or float(np.max(np.abs(g - h))) <= FLOAT_TOL
 
-    def state_arrow(obj: int, psi) -> np.ndarray:
+    def state_arrow(self, obj: int, psi) -> np.ndarray:
         psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
         if psi.shape[0] != obj:
             raise ShapeError("state length does not match the object dimension")
         return psi
 
-    def family(obj: int, states) -> np.ndarray:
+    def family(self, obj: int, states) -> np.ndarray:
         # the states as columns
-        columns = [state_arrow(obj, x) for x in states]
+        columns = [self.state_arrow(obj, x) for x in states]
         return np.concatenate([np.empty((obj, 0), dtype=complex)] + columns, axis=1)
 
-    def pair(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def pair(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         # column by column Kronecker products (the Khatri-Rao product)
         return (g[:, np.newaxis] * h).reshape(len(g) * len(h), g.shape[1])
 
-    def members_equal(g: np.ndarray, h: np.ndarray) -> list[bool]:
+    def members_equal(self, g: np.ndarray, h: np.ndarray) -> list[bool]:
         if g.shape != h.shape:
             return [False] * g.shape[1]
         return (np.max(np.abs(g - h), axis=0, initial=0.0) <= FLOAT_TOL).tolist()
 
-    def sample_states(obj: int, count: int = 8, rng=None) -> list[np.ndarray]:
+    def sample_states(self, obj: int, count: int = 8, rng=None) -> list[np.ndarray]:
         # the basis, then count random states; rng is a Generator or a seed (None: 0)
         rng = np.random.default_rng(0 if rng is None else rng)
         return [np.eye(obj)[:, j] for j in range(obj)] + [random_state(obj, rng) for _ in range(count)]
 
-    return DiagramInstance(
-        name="hilbert",
-        unit=1,
-        compose=compose,
-        tensor=tensor,
-        equal=equal,
-        state_arrow=state_arrow,
-        family=family,
-        pair=pair,
-        members_equal=members_equal,
-        sample_states=sample_states,
-        exhaustive=False,
-    )
+
+_HILBERT = _Hilbert()
+
+
+def hilbert_instance() -> DiagramInstance:
+    """Finite-dimensional Hilbert spaces; arrows are complex matrices,
+    equality is entrywise within FLOAT_TOL.  Objects are dimensions."""
+    return _HILBERT
 
 
 def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInstance, CloningDiagram]:
@@ -341,10 +338,7 @@ def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInsta
     if U.shape != (d * d * dk, d * d * dk):
         raise ShapeError("candidate arrow does not act on object x copy x machine")
     inst = hilbert_instance()
-    # a file's U is checked for being an isometry after this; until then an
-    # entry near the double range may overflow here without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        W = U @ kron(kron(np.eye(d), beta.reshape(-1, 1)), rho.reshape(-1, 1))
+    W = U @ kron(kron(np.eye(d), beta.reshape(-1, 1)), rho.reshape(-1, 1))
 
     def readout(psi: np.ndarray) -> np.ndarray:
         # column n of the amplitudes is psi_n x psi_n paired with the dk

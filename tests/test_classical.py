@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -852,3 +853,41 @@ class TestProcessSerialization:
         data = rep.to_json()
         assert data["symplectic_defect_norm"] == "0"
         assert data["verdict"] == "pass"
+
+
+class TestBlankAndReadyCoercion:
+    """Blank and ready are stored as exact vectors, however they are given."""
+
+    @staticmethod
+    def _process(**fields):
+        c = basic_cloner()
+        return CloningProcess(
+            c.object_form, fields.get("blank", c.blank), c.machine_form,
+            fields.get("ready", c.ready), c.phi, c.readout,
+        )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"blank": (0.1, 0)}, {"blank": [0, 0.0]}, {"ready": (0, True)}, {"ready": [False, 0]}],
+        ids=repr,
+    )
+    def test_floats_and_booleans_are_refused(self, fields):
+        with pytest.raises(TypeError):
+            self._process(**fields)
+
+    def test_lists_and_strings_are_stored_as_exact_tuples(self):
+        c = self._process(blank=[0, "0"], ready=["0/3", Fraction(0)])
+        for v in (c.blank, c.ready):
+            assert type(v) is tuple and all(type(x) is Fraction for x in v)
+        assert c == basic_cloner()
+        assert verify_cloning(c).passed
+
+    def test_a_nonzero_ready_state_given_as_strings_verifies_and_round_trips(self):
+        # an identity machine with ready state (1, 2) and no object
+        c = CloningProcess(standard_form(0), [], standard_form(1), ["1", "2"],
+                           RatMatrix.identity(2), RatMatrix.zeros(2, 0))
+        assert c.blank == () and c.ready == (Fraction(1), Fraction(2))
+        assert verify_cloning(c).passed
+        assert verify_cloning(product_cloner(basic_cloner(), c)).passed
+        again = CloningProcess.from_json(json.loads(json.dumps(c.to_json())))
+        assert again == c

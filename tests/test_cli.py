@@ -465,6 +465,21 @@ class TestContract:
         assert out == ""
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["phi", "blank"])
+    def test_an_underscore_in_an_entry_is_refused_on_every_python(self, tmp_path, capsys, where):
+        # Fraction reads "0_0" as 0 from Python 3.11 on; 3.10 refuses it, and so does symclone
+        _, out, _ = run_capture(capsys, "construct-basic")
+        data = json.loads(out)
+        if where == "phi":
+            data["phi"]["entries"][0][1] = "0_0"
+        else:
+            data["blank"][0] = "0_0"
+        path = tmp_path / "underscore.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_capture(capsys, "verify", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: Invalid literal for Fraction: '0_0'\n"
+
     @pytest.mark.parametrize("command", ["verify", "darboux"])
     def test_zero_denominator_is_a_parse_error(self, tmp_path, capsys, command):
         data = basic_cloner().to_json() if command == "verify" else standard_form(1).to_json()

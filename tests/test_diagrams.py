@@ -26,7 +26,8 @@ from symclone import (
     vec,
     zero_vec,
 )
-from symclone import ShapeError, diagrams
+from symclone import ShapeError, diagrams, exact
+from symclone.exact import _frac
 from conftest import kernel_examples, random_skew_form
 from symclone.quantum import hilbert_diagram_from_json, random_isometry, random_state
 import oracles
@@ -168,29 +169,36 @@ class TestInstanceCoherence:
 
 class TestStateCoercion:
     @pytest.fixture
-    def vec_calls(self, monkeypatch):
+    def count_frac(self, monkeypatch):
+        """Start counting the entries parsed from here on: returns the list
+        that ``exact._frac`` appends each parsed entry to."""
         calls = []
 
-        def counting_vec(entries):
-            calls.append(entries)
-            return vec(entries)
+        def counting_frac(x):
+            calls.append(x)
+            return _frac(x)
 
-        monkeypatch.setattr(diagrams, "vec", counting_vec)
-        return calls
+        def start():
+            monkeypatch.setattr(exact, "_frac", counting_frac)
+            return calls
 
-    def test_sampled_states_and_readout_images_are_not_coerced(self, vec_calls):
+        return start
+
+    def test_sampled_states_and_readout_images_are_not_coerced(self, count_frac):
         inst, diagram = diagram_from_process(general_cloner(standard_form(3)))
+        calls = count_frac()
         report = check_cloning_diagram(inst, diagram)
         assert report.passed and len(report.results) == 7
-        assert vec_calls == []
+        assert calls == []
 
-    def test_caller_states_are_coerced(self, vec_calls):
+    def test_caller_states_are_coerced(self, count_frac):
         inst, diagram = diagram_from_process(general_cloner(standard_form(1)))
         states = [[1, 0], ["0", "1/2"], [Fraction(2), -3]]
+        calls = count_frac()
         report = check_cloning_diagram(inst, diagram, states)
         assert report.passed
         assert [psi for psi, _ in report.results] == states  # reported as supplied
-        assert vec_calls == states  # once each
+        assert calls == [x for psi in states for x in psi]  # each entry once
 
     @pytest.mark.parametrize("bad", [[True, 0], [0.5, 0], (Fraction(1), False)])
     def test_booleans_and_floats_are_rejected(self, bad):
@@ -332,6 +340,15 @@ class TestHilbertDiagram:
         data["rho"] = [[0.6, 0.0], [0.0, 0.8]]
         data["unitary"] = complex_matrix_to_json(np.kron(basis_cloner(2), np.eye(2)))
         assert np.array_equal(hilbert_diagram_from_json(data)[1].rho, [0.6, 0.8j])
+
+    def test_a_file_is_checked_before_the_diagram_is_built(self):
+        # 3 x 3 is the wrong size for a 2-dimensional object; 2 I is not an isometry either
+        data = {"unitary": complex_matrix_to_json(2 * np.eye(3)), "beta": [[1.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(ValueError, match="^unitary is not an isometry at the module tolerance$"):
+            hilbert_diagram_from_json(data)
+        data["unitary"] = complex_matrix_to_json(np.eye(3))
+        with pytest.raises(ShapeError, match="^candidate arrow does not act on object x copy x machine$"):
+            hilbert_diagram_from_json(data)
 
 
 class TestBatchedAgainstReference:

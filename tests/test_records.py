@@ -13,13 +13,13 @@ from symclone.diagrams import (
     CloningDiagram,
     DiagramInstance,
     DiagramReport,
+    check_cloning_diagram,
     diagram_from_process,
     symplectic_instance,
 )
-from symclone.quantum import Refutation
+from symclone.quantum import Refutation, hilbert_instance
 
 _BASIC = basic_cloner()
-_INSTANCE = symplectic_instance()
 _DIAGRAM = diagram_from_process(_BASIC)[1]
 
 # Each record type with the fields of one instance, in declaration order.
@@ -37,12 +37,6 @@ RECORDS = {
         vector=vec([1, 0]), pullback_row=zero_vec(2), partner=vec([0, 1]), pairing=Fraction(1)
     ),
     AffineMap: dict(matrix=RatMatrix.identity(2), offset=vec([1, "1/2"])),
-    DiagramInstance: dict(
-        name=_INSTANCE.name, unit=_INSTANCE.unit, compose=_INSTANCE.compose,
-        tensor=_INSTANCE.tensor, equal=_INSTANCE.equal, state_arrow=_INSTANCE.state_arrow,
-        family=_INSTANCE.family, pair=_INSTANCE.pair, members_equal=_INSTANCE.members_equal,
-        sample_states=_INSTANCE.sample_states, exhaustive=_INSTANCE.exhaustive,
-    ),
     CloningDiagram: dict(
         object_a=_DIAGRAM.object_a, beta=_DIAGRAM.beta, machine_b=_DIAGRAM.machine_b,
         rho=_DIAGRAM.rho, arrow_c=_DIAGRAM.arrow_c, readout=_DIAGRAM.readout,
@@ -99,3 +93,43 @@ def test_shape_checks_run_on_construction():
     with pytest.raises(ValueError, match="readout must be 0x2"):
         CloningProcess(**{**RECORDS[CloningProcess], "machine_form": standard_form(0),
                           "ready": (), "phi": RatMatrix.identity(4)})
+
+
+# Diagram instances are not records: one shared object per category, whose
+# operations are methods and whose name, unit and exhaustive flag are class
+# attributes.
+
+
+@pytest.mark.parametrize("factory", [symplectic_instance, hilbert_instance], ids=lambda f: f.__name__)
+def test_instances_are_shared_and_frozen(factory):
+    inst = factory()
+    assert factory() is inst
+    assert isinstance(inst, DiagramInstance)
+    for name in ("name", "unit", "exhaustive", "compose", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, None)
+    assert not hasattr(inst, "__dict__")
+
+
+def test_a_subclass_of_diagram_instance_runs_through_the_checker():
+    calls = []
+
+    class Traced(DiagramInstance):
+        """The symplectic category, counting the composites the checker forms."""
+
+        name, unit, exhaustive = "traced", symplectic_instance().unit, True
+
+        def __getattr__(self, attr):
+            return getattr(symplectic_instance(), attr)
+
+        def compose(self, g, h):
+            calls.append((g, h))
+            return symplectic_instance().compose(g, h)
+
+    inst, diagram = Traced(), diagram_from_process(_BASIC)[1]
+    report = check_cloning_diagram(inst, diagram)
+    assert report.passed and report.exhaustive and len(report.results) == 3
+    # one composite with c per family; the readout composes with the shared instance
+    assert [g for g, _ in calls] == [diagram.arrow_c]
+    broken = CloningDiagram(**{**vars(diagram), "beta": vec([1, 0])})
+    assert not check_cloning_diagram(inst, broken).passed
