@@ -17,8 +17,8 @@ numpy, and its one public name is served here on first access.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._record import Record
 from .exact import (
@@ -125,12 +125,15 @@ class CloningProcess(Record):
 
 
 class VerificationReport(Record):
+    """What ``verify_cloning`` measured: both exact residuals, the readout
+    inferred from phi, the first failure's reason ("" on a pass) and the
+    first defect entry.  ``passed`` and ``verdict`` are read off the residuals."""
+
     def __init__(
         self,
         symplectic_defect_norm: Fraction,
         cloning_residual: Fraction,
         inferred_readout: RatMatrix,
-        verdict: str,  # "pass" | "fail"
         reason: str,
         # (row, col, value) of the first nonzero symplectic-defect entry in
         # row-major order; None when phi is symplectic
@@ -138,13 +141,16 @@ class VerificationReport(Record):
     ):
         self.__dict__.update(
             symplectic_defect_norm=symplectic_defect_norm, cloning_residual=cloning_residual,
-            inferred_readout=inferred_readout, verdict=verdict, reason=reason,
-            first_defect_entry=first_defect_entry,
+            inferred_readout=inferred_readout, reason=reason, first_defect_entry=first_defect_entry,
         )
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return not (self.symplectic_defect_norm or self.cloning_residual)
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json(self) -> dict:
         out = {
@@ -412,15 +418,7 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
 
     if defect_norm and not reason:
         reason = "map is not symplectic for the product form"
-    verdict = "pass" if (not defect_norm and not residual) else "fail"
-    return VerificationReport(
-        symplectic_defect_norm=defect_norm,
-        cloning_residual=residual,
-        inferred_readout=inferred,
-        verdict=verdict,
-        reason=reason if verdict == "fail" else "",
-        first_defect_entry=first_defect,
-    )
+    return VerificationReport(defect_norm, residual, inferred, reason, first_defect)
 
 
 def readout_solver(m: int, k: int) -> RatMatrix:

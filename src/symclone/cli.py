@@ -62,7 +62,6 @@ _MAX_PROBE_PAIRS = 16
 # unitary, 0.44 s and 46 MB peak from interpreter start (medians of 5
 # processes, one BLAS thread, 2-vCPU VM)
 _MAX_HILBERT_SAMPLES = 10_000
-_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7 and 3.11 on
 
 
 def _dumps(doc, indent: str = "\n") -> str:
@@ -135,8 +134,7 @@ def _load(path: str, parse):
         raise ValueError(f"{path}: missing or malformed field: {exc}")
     except ValueError as exc:  # the symclone errors, UnicodeDecodeError, int digit limit
         raise ValueError(f"{path}: {exc}")
-    if _DIGIT_LIMIT:
-        sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(0)
     return doc
 
 
@@ -337,7 +335,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else 0  # _load lifts it
+    limit = sys.get_int_max_str_digits()  # _load lifts it
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:  # the usage errors here and every symclone error class
@@ -352,8 +350,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {what} needs numpy, which is not installed", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        if _DIGIT_LIMIT:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

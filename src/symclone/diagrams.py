@@ -19,8 +19,8 @@ and fails ``verify_cloning``.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from functools import partial
-from typing import Any, Callable, Sequence
 
 from ._record import Record
 from .exact import (
@@ -158,16 +158,20 @@ class CloningDiagram(Record):
     blank state beta of A, the machine object B with ready state rho, and the
     claimed readout f, which maps a family of states of A to the family of
     their states of B.  Taking B to be the unit object (with empty states)
-    recovers the machine-free diagram."""
+    recovers the machine-free diagram.  Diagrams compare by identity: their
+    states may be numpy arrays, and each readout is a fresh function."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
-        object_a: Any,
-        beta: Any,
-        machine_b: Any,
-        rho: Any,
-        arrow_c: Any,
-        readout: Callable[[Any], Any],
+        object_a: object,
+        beta: object,
+        machine_b: object,
+        rho: object,
+        arrow_c: object,
+        readout: Callable[[object], object],
     ):
         self.__dict__.update(
             object_a=object_a, beta=beta, machine_b=machine_b, rho=rho,
@@ -176,18 +180,30 @@ class CloningDiagram(Record):
 
 
 class DiagramReport(Record):
-    def __init__(
-        self,
-        results: tuple[tuple[Any, bool], ...],
-        passed: bool,
-        first_failure: Any,
-        exhaustive: bool,
-        note: str,
-    ):
-        self.__dict__.update(
-            results=results, passed=passed, first_failure=first_failure,
-            exhaustive=exhaustive, note=note,
-        )
+    """Whether the diagram commutes on each checked state, in order, and
+    whether the sample decides the condition; ``passed``, ``first_failure``
+    and ``note`` are read off them.  Compares by identity, as its states may
+    be numpy arrays."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, results: tuple[tuple[object, bool], ...], exhaustive: bool):
+        self.__dict__.update(results=results, exhaustive=exhaustive)
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok in self.results)
+
+    @property
+    def first_failure(self) -> object:  # None when every state passes
+        return next((x for x, ok in self.results if not ok), None)
+
+    @property
+    def note(self) -> str:
+        if self.exhaustive:
+            return "sample decides the condition (affine arrows, basis plus zero)"
+        return "sample is evidence only; the condition quantifies over all unit vectors"
 
     def to_json(self) -> dict:
         return {
@@ -232,19 +248,7 @@ def check_cloning_diagram(
         lhs = instance.compose(diagram.arrow_c, prepared)
         f = diagram.readout(psi)
         verdicts += instance.members_equal(lhs, instance.pair(instance.pair(psi, psi), f))
-    results = tuple(zip(states, verdicts))
-    note = (
-        "sample decides the condition (affine arrows, basis plus zero)"
-        if instance.exhaustive
-        else "sample is evidence only; the condition quantifies over all unit vectors"
-    )
-    return DiagramReport(
-        results=results,
-        passed=all(verdicts),
-        first_failure=next((x for x, ok in results if not ok), None),
-        exhaustive=instance.exhaustive,
-        note=note,
-    )
+    return DiagramReport(tuple(zip(states, verdicts)), instance.exhaustive)
 
 
 def diagram_from_process(process) -> tuple[DiagramInstance, CloningDiagram]:

@@ -38,11 +38,10 @@ import math
 import re
 import sys
 from bisect import bisect_left
-from collections.abc import Mapping, Set
+from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
 
 
 class ShapeError(ValueError):
@@ -106,8 +105,8 @@ def _frac(x) -> Fraction:
                 raise ValueError(f"Invalid literal for Fraction: {x!r}")
             if m := _EXPONENT.search(x):
                 # refuse an exponent past the int digit limit, as int() refuses that
-                # many digits (0: no limit; Pythons without one get the default)
-                limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+                # many digits (0: no limit)
+                limit = sys.get_int_max_str_digits()
                 digits = m[1].lstrip("0")  # may be too long for int()
                 if limit and (len(digits) > len(str(limit)) or int(digits or 0) > limit):
                     raise ValueError(f"entry exponent past the {limit}-digit integer limit")
@@ -143,6 +142,8 @@ def vec(entries: Iterable) -> RatVector:
 
 
 def zero_vec(n: int) -> RatVector:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return (_ZERO,) * n
 
 
@@ -353,10 +354,14 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
+        if rows < 0 or cols < 0:
+            raise ValueError("dimensions must be nonnegative")
         return cls._raw(((),) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         return cls._raw(tuple(((i, _ONE),) for i in range(n)), n)
 
     @classmethod

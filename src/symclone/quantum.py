@@ -100,23 +100,30 @@ def _as_state(v, name: str) -> np.ndarray:
 
 
 class Refutation(Record):
-    """Outcome of running the overlap argument against a candidate machine."""
+    """Outcome of running the overlap argument against a candidate machine:
+    what was measured on the state pair, and the values read off it."""
 
     def __init__(
         self,
-        overlap: complex,                # <psi, psi2>
-        preserved_overlap: complex,      # <U(psi x beta x rho), U(psi2 x beta x rho)>
-        implied_machine_overlap: float,  # |<f(psi), f(psi2)>| forced by cloning
-        cauchy_schwarz_excess: float,    # implied overlap minus the unit bound
-        cloning_residual: float,         # worst distance to the nearest legal clone
-        residual_per_state: tuple[float, float],
+        overlap: complex,            # <psi, psi2>
+        preserved_overlap: complex,  # <U(psi x beta x rho), U(psi2 x beta x rho)>
+        residual_per_state: tuple[float, float],  # distance to the nearest legal clone
     ):
         self.__dict__.update(
-            overlap=overlap, preserved_overlap=preserved_overlap,
-            implied_machine_overlap=implied_machine_overlap,
-            cauchy_schwarz_excess=cauchy_schwarz_excess, cloning_residual=cloning_residual,
-            residual_per_state=residual_per_state,
+            overlap=overlap, preserved_overlap=preserved_overlap, residual_per_state=residual_per_state
         )
+
+    @property
+    def implied_machine_overlap(self) -> float:  # |<f(psi), f(psi2)>| forced by cloning
+        return 1.0 / abs(self.overlap)
+
+    @property
+    def cauchy_schwarz_excess(self) -> float:  # the implied overlap minus the unit bound
+        return self.implied_machine_overlap - 1.0
+
+    @property
+    def cloning_residual(self) -> float:  # the worst distance to a legal clone
+        return max(self.residual_per_state)
 
     def to_json(self) -> dict:
         return {
@@ -171,16 +178,8 @@ def _refute(U: np.ndarray, beta, rho, psi, psi2, check_isometry: bool) -> Refuta
 
     outputs = [U @ kron(kron(x, beta), rho) for x in (psi, psi2)]
     preserved = complex(np.vdot(*outputs))
-    implied = 1.0 / abs(t)
-    r1, r2 = (_clone_distance(x, out) for x, out in zip((psi, psi2), outputs))
-    return Refutation(
-        overlap=t,
-        preserved_overlap=preserved,
-        implied_machine_overlap=implied,
-        cauchy_schwarz_excess=implied - 1.0,
-        cloning_residual=max(r1, r2),
-        residual_per_state=(r1, r2),
-    )
+    residuals = tuple(_clone_distance(x, out) for x, out in zip((psi, psi2), outputs))
+    return Refutation(t, preserved, residuals)
 
 
 def standard_refutation(d: int, overlap: float = 2 ** -0.5) -> Refutation:

@@ -328,15 +328,10 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
 
     if defect_norm and not reason:
         reason = "map is not symplectic for the product form"
-    verdict = "pass" if not (defect_norm or residual) else "fail"
     inferred = [row[:dm] for row in phi[2 * dm :]]
     return VerificationReport(
-        symplectic_defect_norm=defect_norm,
-        cloning_residual=residual,
-        inferred_readout=RatMatrix(inferred) if inferred else RatMatrix.zeros(0, dm),
-        verdict=verdict,
-        reason=reason if verdict == "fail" else "",
-        first_defect_entry=first_defect,
+        defect_norm, residual, RatMatrix(inferred) if inferred else RatMatrix.zeros(0, dm),
+        reason, first_defect,
     )
 
 
@@ -359,13 +354,7 @@ def check_cloning_diagram(
         f_arrow = instance.state_arrow(diagram.machine_b, readout(psi))
         rhs = instance.tensor(instance.tensor(psi_arrow, psi_arrow), f_arrow)
         results.append((psi, instance.equal(lhs, rhs)))
-    return DiagramReport(
-        results=tuple(results),
-        passed=all(ok for _, ok in results),
-        first_failure=next((psi for psi, ok in results if not ok), None),
-        exhaustive=instance.exhaustive,
-        note="state by state",
-    )
+    return DiagramReport(tuple(results), instance.exhaustive)
 
 
 def slice_amplitudes(U, x, beta, rho):
@@ -425,23 +414,12 @@ def check_traditional_diagram(
         states = instance.sample_states(object_a)
     beta_arrow = instance.state_arrow(object_a, beta)
     results = []
-    first_failure = None
     for psi in states:
         psi_arrow = instance.state_arrow(object_a, psi)
         lhs = instance.compose(arrow_c, instance.tensor(psi_arrow, beta_arrow))
         rhs = instance.tensor(psi_arrow, psi_arrow)
-        ok = instance.equal(lhs, rhs)
-        results.append((psi, ok))
-        if not ok and first_failure is None:
-            first_failure = psi
-    passed = all(ok for _, ok in results)
-    return DiagramReport(
-        results=tuple(results),
-        passed=passed,
-        first_failure=first_failure,
-        exhaustive=instance.exhaustive,
-        note="machine-free diagram",
-    )
+        results.append((psi, instance.equal(lhs, rhs)))
+    return DiagramReport(tuple(results), instance.exhaustive)
 
 
 def lbfgs(objective, x, maxiter: int) -> float:

@@ -422,9 +422,16 @@ class TestVerifyAgainstReference:
     @example(_with(_VERIFY_BASES["standard"], ready=[0, 0, "2/3", 0]))
     @settings(max_examples=200, deadline=None)
     def test_report_equals_the_dense_reference(self, c):
-        # every field: verdict, reason, both residuals, the first defect
-        # entry and the inferred readout
+        # every field: the reason, both residuals, the first defect entry and
+        # the inferred readout
         assert verify_cloning(c) == oracles.verify_cloning(c)
+
+    @given(_perturbed_processes())
+    @settings(max_examples=100, deadline=None)
+    def test_a_report_gives_a_reason_iff_it_fails(self, c):
+        # the verdict is read from the residuals, the reason from the checks
+        for rep in (verify_cloning(c), oracles.verify_cloning(c)):
+            assert (rep.reason == "") == rep.passed
 
     @pytest.mark.parametrize(
         "process, reason, residual",

@@ -31,6 +31,7 @@ from symclone import (
     symplectic_defect,
     vec,
     verify_cloning,
+    zero_vec,
 )
 from symclone.exact import _block_scales, _darboux, _form_blocks, _frac, _is_skew
 from conftest import kernel_examples, random_skew_form
@@ -56,6 +57,29 @@ class TestStandardForm:
         j = standard_form(n).matrix
         assert j @ j == -RatMatrix.identity(2 * n)
         assert j.T == -j
+
+
+class TestNegativeSizes:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RatMatrix.zeros(2, -5),
+            lambda: RatMatrix.zeros(-1, 3),
+            lambda: RatMatrix.identity(-3),
+            lambda: RatMatrix.block_diag(RatMatrix.identity(-3), RatMatrix.identity(2)),
+            lambda: zero_vec(-2),
+            lambda: standard_form(-1),
+        ],
+        ids=["zeros cols", "zeros rows", "identity", "block_diag", "zero_vec", "standard_form"],
+    )
+    def test_a_negative_size_is_refused(self, build):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            build()
+
+    def test_size_zero_is_empty(self):
+        assert RatMatrix.zeros(2, 0).shape == (2, 0) and RatMatrix.zeros(0, 3).shape == (0, 3)
+        assert RatMatrix.identity(0).shape == (0, 0)
+        assert zero_vec(0) == ()
 
 
 class TestDirectSum:

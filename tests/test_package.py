@@ -1,6 +1,10 @@
 """The package namespace: eager exact names, lazily served diagram, quantum
 and probe names."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import symclone
@@ -58,3 +62,12 @@ def test_unknown_name_raises_attribute_error():
         symclone.no_such_name
     with pytest.raises(ImportError):
         from symclone import no_such_name  # noqa: F401
+
+
+def test_the_cli_loads_no_typing():
+    # -S skips site, whose .pth files may import typing themselves; symclone's
+    # annotations come from collections.abc
+    where = str(Path(symclone.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {where!r}); import symclone.cli; print('typing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
