@@ -42,10 +42,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# quantum-refute builds the dense d^2 x d^2 basis cloner (268 MB of complex
-# entries at d = 64) and applies it to two states; being a permutation, it needs
-# no Gram check: 0.27 s and 284 MB peak at d = 64, 0.22 s and 46 MB at d = 32
-# (medians of 3 processes, one BLAS thread, 2-vCPU VM)
+# quantum-refute applies the basis cloner as its d^2 x d prepared arrow: 0.12 s
+# and 32 MB peak at d = 64, 0.12 s and 30 MB at d = 32, mostly start-up (medians
+# of 5 fresh processes, one BLAS thread, 2-vCPU VM); the cap is kept at 64 so
+# that no exit code changes
 _MAX_REFUTE_DIM = 64
 # construct-general emits phi as a dense 3N x 3N JSON grid: 25 MB of JSON and
 # about 190 MB resident at N = 400

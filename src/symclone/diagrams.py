@@ -39,10 +39,11 @@ class AffineMap(Record):
     matrix plus an offset: exactly a point of the target, which is how states
     enter the symplectic instance.  A family of N states is a 2m x N matrix
     with the states as columns and a zero offset: member i is column i plus
-    the offset.
+    the offset.  The offset is stored as an exact vector, coerced by ``vec``.
     """
 
-    def __init__(self, matrix: RatMatrix, offset: RatVector):
+    def __init__(self, matrix: RatMatrix, offset: Sequence):
+        offset = vec(offset)
         if len(offset) != matrix.rows:
             raise ShapeError("offset length must match the matrix row count")
         self.__dict__.update(matrix=matrix, offset=offset)

@@ -31,23 +31,9 @@ class HypothesisViolationError(ValueError):
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two arrays of any shapes, as complex numbers.
-
-    The result equals ``np.kron`` of the two complex arrays bit for bit, for
-    any two arrays: each entry is the same single product, made by one
-    multiply on the operand layout that ``np.kron`` builds.  The array with
-    fewer axes gets leading unit axes, and a (m, n) by (p, q) product is
-    a[i, k] * b[j, l] at [i, j, k, l], read as (mp, nq).  Two reshapes stand
-    in for ``np.kron``'s Python-level ``expand_dims`` calls, which cost about
-    four times the multiply on short vectors.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    nd = max(a.ndim, b.ndim)
-    sa = (1,) * (nd - a.ndim) + a.shape
-    sb = (1,) * (nd - b.ndim) + b.shape
-    product = a.reshape([x for n in sa for x in (n, 1)]) * b.reshape([x for n in sb for x in (1, n)])
-    return product.reshape([m * n for m, n in zip(sa, sb)])
+    """Kronecker product of two arrays of any shapes, as complex numbers:
+    ``np.kron`` of the two arrays made complex."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _as_map(U) -> np.ndarray:
@@ -143,40 +129,50 @@ def _clone_distance(x: np.ndarray, out: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * proj)))
 
 
+def _prepared(U: np.ndarray, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """W = U (I x beta x rho), the d^2 dk x d matrix that sends psi to U(psi x
+    beta x rho); d and dk are the lengths of beta and rho."""
+    d, dk = len(beta), len(rho)
+    if U.shape != (d * d * dk, d * d * dk):
+        raise ShapeError("candidate arrow does not act on object x copy x machine")
+    return U @ kron(kron(np.eye(d), beta.reshape(-1, 1)), rho.reshape(-1, 1))
+
+
 def refute_cloning(U: np.ndarray, beta, rho, psi, psi2) -> Refutation:
     """Run the no-cloning contradiction against a candidate copying isometry.
 
-    Requires U isometric and a state pair with overlap strictly between 0 and
-    1 in modulus.  If U cloned both states, preservation of inner products
-    would force the machine outputs to overlap with modulus 1/|<psi, psi2>|,
-    exceeding the unit bound; the excess is reported together with the actual
-    distance from U's output to the nearest exact clone.
+    Requires U isometric (checked before the states) and a state pair with
+    overlap strictly between 0 and 1 in modulus.  If U cloned both states,
+    preservation of inner products would force the machine outputs to overlap
+    with modulus 1/|<psi, psi2>|, exceeding the unit bound; the excess is
+    reported together with the actual distance from U's output to the nearest
+    exact clone.  The outputs are W psi and W psi2, for the prepared arrow W =
+    U (I x beta x rho) that the Hilbert diagram's readout also reads.
     """
-    return _refute(np.asarray(U, dtype=complex), beta, rho, psi, psi2, check_isometry=True)
+    U = _as_map(U)
+    if not is_isometry(U):
+        raise ValueError("U is not an isometry at the module tolerance")
+    return _refute(_prepared(U, _as_state(beta, "beta"), _as_state(rho, "rho")), psi, psi2)
 
 
-def _refute(U: np.ndarray, beta, rho, psi, psi2, check_isometry: bool) -> Refutation:
-    # check_isometry=False is for a complex U that is an isometry by
-    # construction, such as the basis cloner (a permutation), which spares the
-    # d^6 Gram product of the check
-    beta = _as_state(beta, "beta")
-    rho = _as_state(rho, "rho")
+def _refute(W: np.ndarray, psi, psi2) -> Refutation:
+    # W is the prepared arrow of an isometry: psi -> U(psi x beta x rho)
     psi = _as_state(psi, "psi")
     psi2 = _as_state(psi2, "psi2")
+    if not len(psi) == len(psi2) == W.shape[1]:
+        raise ShapeError("state length does not match the object dimension")
     if len(psi) == 1:
         raise HypothesisViolationError(
             "object space has dimension 1: no valid state pair exists "
             "(every pair of unit vectors is parallel)"
         )
-    if check_isometry and not is_isometry(U):
-        raise ValueError("U is not an isometry at the module tolerance")
     t = complex(np.vdot(psi, psi2))
     if abs(t) <= FLOAT_TOL or abs(abs(t) - 1.0) <= FLOAT_TOL:
         raise HypothesisViolationError(
-            f"|<psi, psi2>| = {abs(t):.3g}; the argument needs 0 < |overlap| < 1"
+            f"|<psi, psi2>| = {abs(t):.3g}; the argument needs {FLOAT_TOL:g} < |overlap| < 1 - {FLOAT_TOL:g}"
         )
 
-    outputs = [U @ kron(kron(x, beta), rho) for x in (psi, psi2)]
+    outputs = [W @ x for x in (psi, psi2)]
     preserved = complex(np.vdot(*outputs))
     residuals = tuple(_clone_distance(x, out) for x, out in zip((psi, psi2), outputs))
     return Refutation(t, preserved, residuals)
@@ -185,17 +181,20 @@ def _refute(U: np.ndarray, beta, rho, psi, psi2, check_isometry: bool) -> Refuta
 def standard_refutation(d: int, overlap: float = 2 ** -0.5) -> Refutation:
     """Refute the basis-copying machine on C^d with a trivial machine space.
 
-    Uses beta = psi = |0> and psi2 = overlap*|0> + sqrt(1-overlap^2)*|1>.
+    Uses beta = psi = |0> and psi2 = overlap*|0> + sqrt(1-overlap^2)*|1>, and
+    ``basis_cloner(d)`` as its prepared arrow |i> -> |i, i>, a d^2 x d matrix:
+    the cloner, a permutation, is neither formed nor checked for isometry.
     """
     if not 0.0 < overlap < 1.0:
         raise HypothesisViolationError("overlap must lie strictly between 0 and 1")
-    U = basis_cloner(d)
-    if d < 2:
-        # let _refute raise the dimension-specific message
-        return _refute(U, [1.0], [1.0], [1.0], [1.0], check_isometry=False)
-    e0 = np.eye(d)[:, 0]
-    psi2 = overlap * np.eye(d)[:, 0] + np.sqrt(1.0 - overlap**2) * np.eye(d)[:, 1]
-    return _refute(U, e0, [1.0], e0, psi2, check_isometry=False)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    W = np.zeros((d * d, d), dtype=complex)
+    W[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    if d == 1:
+        return _refute(W, [1.0], [1.0])  # raises the dimension-specific message
+    e0, e1 = np.eye(d)[:, :2].T
+    return _refute(W, e0, overlap * e0 + np.sqrt(1.0 - overlap**2) * e1)
 
 
 def random_state(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -323,9 +322,8 @@ def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInsta
     U(psi x beta x rho) onto the psi x psi x K slice, so the diagram commutes
     at psi exactly when U clones psi.  Below a norm of FLOAT_TOL, f falls back
     to the first machine basis state.  f takes a family, the states as the
-    columns of Psi, and reads U(Psi x beta x rho) as W Psi, where W = U (I x
-    beta x rho) is formed once: a d^2 dk x d matrix, so a block costs one
-    product with W and none with U.
+    columns of Psi, and reads U(Psi x beta x rho) as W Psi, with the prepared
+    arrow W the refuter reads too, formed once: a block costs no product with U.
     """
     U = np.asarray(U, dtype=complex)
     beta = np.asarray(beta, dtype=complex).reshape(-1)
@@ -334,10 +332,8 @@ def hilbert_cloning_diagram(U: np.ndarray, beta, rho=None) -> tuple[DiagramInsta
         rho = np.array([1.0 + 0.0j])
     rho = np.asarray(rho, dtype=complex).reshape(-1)
     dk = len(rho)
-    if U.shape != (d * d * dk, d * d * dk):
-        raise ShapeError("candidate arrow does not act on object x copy x machine")
     inst = hilbert_instance()
-    W = U @ kron(kron(np.eye(d), beta.reshape(-1, 1)), rho.reshape(-1, 1))
+    W = _prepared(U, beta, rho)
 
     def readout(psi: np.ndarray) -> np.ndarray:
         # column n of the amplitudes is psi_n x psi_n paired with the dk

@@ -190,6 +190,12 @@ class TestQuantumRefute:
         assert out == ""
         assert err == "error: d must be >= 1\n"
 
+    @pytest.mark.parametrize("overlap, shown", [("1e-10", "1e-10"), ("0.99999999999", "1")])
+    def test_an_overlap_within_the_tolerance_of_an_end_is_refused_with_the_band(self, capsys, overlap, shown):
+        code, out, err = run_capture(capsys, "quantum-refute", "--dim", "2", "--psi-overlap", overlap)
+        assert (code, out) == (2, "")
+        assert err == f"error: |<psi, psi2>| = {shown}; the argument needs 1e-09 < |overlap| < 1 - 1e-09\n"
+
     def test_dimension_above_the_cap_is_a_usage_error(self, capsys):
         # the d^2 x d^2 unitary is never built: the size check comes first
         code, out, err = run_capture(capsys, "quantum-refute", "--dim", "100000")

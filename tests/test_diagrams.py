@@ -117,6 +117,13 @@ class TestInstanceCoherence:
         assert gh.matrix == RatMatrix([[-2, 1], ["-1/3", 0]])
         assert gh.offset == vec(["29/6", "-7/9"])
 
+    def test_symplectic_arrows_that_do_not_compose_are_refused(self):
+        inst = symplectic_instance()
+        g = AffineMap(RatMatrix.identity(2), zero_vec(2))
+        h = AffineMap(RatMatrix.zeros(4, 2), zero_vec(4))
+        with pytest.raises(ShapeError, match="^arrows do not compose$"):
+            inst.compose(g, h)
+
     def test_symplectic_unit_law(self):
         inst = symplectic_instance()
         m = AffineMap(RatMatrix([[1, 1], [0, 1]]), vec([3, 4]))
@@ -207,6 +214,23 @@ class TestStateCoercion:
             inst.state_arrow(standard_form(1), bad)
         with pytest.raises(TypeError):
             check_cloning_diagram(inst, diagram, [bad])
+
+
+class TestOffsetCoercion:
+    """An affine map stores its offset as an exact vector, however it is given."""
+
+    @pytest.mark.parametrize("offset", [(0.1 + 0.2 - 0.3, 0), [0, 0.0], (0, True), [False, 0]], ids=repr)
+    def test_floats_and_booleans_are_refused(self, offset):
+        with pytest.raises(TypeError):
+            AffineMap(RatMatrix.identity(2), offset)
+
+    def test_a_list_is_stored_as_an_exact_tuple(self):
+        g = AffineMap(RatMatrix.identity(2), [1, "2/3"])
+        assert type(g.offset) is tuple and all(type(x) is Fraction for x in g.offset)
+        assert g.offset == (Fraction(1), Fraction(2, 3))
+        t = symplectic_instance().tensor(g, AffineMap(RatMatrix.identity(1), [5]))
+        assert t.offset == vec([1, "2/3", 5])
+
 
 
 class TestSymplecticDiagram:

@@ -69,8 +69,9 @@ class TestNegativeSizes:
             lambda: RatMatrix.block_diag(RatMatrix.identity(-3), RatMatrix.identity(2)),
             lambda: zero_vec(-2),
             lambda: standard_form(-1),
+            lambda: standard_cloner(-1),
         ],
-        ids=["zeros cols", "zeros rows", "identity", "block_diag", "zero_vec", "standard_form"],
+        ids=["zeros cols", "zeros rows", "identity", "block_diag", "zero_vec", "standard_form", "standard_cloner"],
     )
     def test_a_negative_size_is_refused(self, build):
         with pytest.raises(ValueError, match="must be nonnegative"):
@@ -80,6 +81,23 @@ class TestNegativeSizes:
         assert RatMatrix.zeros(2, 0).shape == (2, 0) and RatMatrix.zeros(0, 3).shape == (0, 3)
         assert RatMatrix.identity(0).shape == (0, 0)
         assert zero_vec(0) == ()
+
+
+class TestShapeGuards:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: RatMatrix.identity(2) + RatMatrix.zeros(2, 3), "cannot add (2, 2) and (2, 3)"),
+            (lambda: RatMatrix.identity(2) - RatMatrix.zeros(3, 2), "cannot subtract (3, 2) from (2, 2)"),
+            (lambda: RatMatrix.identity(2).apply([1, 2, 3]), "cannot apply (2, 2) to a vector of length 3"),
+            (lambda: RatMatrix.zeros(2, 3).inverse(), "inverse of a non-square matrix"),
+            (lambda: SkewForm(RatMatrix.zeros(2, 4)), "a bilinear form needs a square matrix"),
+        ],
+        ids=["add", "subtract", "apply", "inverse", "SkewForm"],
+    )
+    def test_a_mismatched_shape_is_refused(self, call, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestDirectSum:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,10 @@ class TestIsIsometry:
         assert isometry_defect(np.zeros(shape)) == 0.0
         assert is_isometry(np.zeros(shape))
 
+    def test_random_isometry_needs_rows_at_least_cols(self):
+        with pytest.raises(ValueError, match="^an isometry needs rows >= cols$"):
+            random_isometry(2, 3, np.random.default_rng(0))
+
     def test_preserves_inner_products_on_random_pairs(self):
         rng = np.random.default_rng(3)
         u = random_isometry(6, 4, rng)
@@ -249,6 +254,56 @@ class TestRefutation:
         args[name] = [bad] + args[name][1:]
         with pytest.raises(ValueError, match=f"^{name} must be a unit vector"):
             refute_cloning(basis_cloner(2), **args)
+
+    @pytest.mark.parametrize("overlap", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_standard_refutation_needs_an_overlap_inside_the_unit_interval(self, overlap):
+        with pytest.raises(HypothesisViolationError, match="^overlap must lie strictly between 0 and 1$"):
+            standard_refutation(2, overlap)
+
+    def test_standard_refutation_at_the_cli_cap_stays_small(self):
+        # the d^2 x d^2 basis cloner alone would take 256 MB at d = 64
+        tracemalloc.start()
+        try:
+            standard_refutation(64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_per_state_reference(self, seed):
+        # the refuter reads W psi with W = U (I x beta x rho); the reference
+        # applies U to psi x beta x rho, one state at a time
+        rng = np.random.default_rng(seed)
+        for d, dk in [(2, 1), (2, 3), (3, 2), (4, 1)]:
+            n = d * d * dk
+            u = random_isometry(n, n, rng)
+            beta, rho, psi, psi2 = (random_state(k, rng) for k in (d, dk, d, d))
+            r = refute_cloning(u, beta, rho, psi, psi2)
+            outputs = [u @ np.kron(np.kron(x, beta), rho) for x in (psi, psi2)]
+            assert abs(r.preserved_overlap - np.vdot(*outputs)) <= 1e-12
+            for x, out, got in zip((psi, psi2), outputs, r.residual_per_state):
+                amps = [np.vdot(np.kron(np.kron(x, x), np.eye(dk)[:, j]), out) for j in range(dk)]
+                assert abs(got - math.sqrt(max(0.0, 2.0 - 2.0 * np.linalg.norm(amps)))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "u, beta, psi, message",
+        [
+            (np.eye(8), [1.0, 0.0], [1.0, 0.0], "candidate arrow does not act on object x copy x machine"),
+            (random_isometry(8, 4, np.random.default_rng(0)), [1.0, 0.0], [1.0, 0.0],
+             "candidate arrow does not act on object x copy x machine"),
+            (np.eye(8), [1.0, 0.0, 0.0, 0.0], [1.0, 0.0], "candidate arrow does not act on object x copy x machine"),
+            (CNOT, [1.0, 0.0], [1.0, 0.0, 0.0], "state length does not match the object dimension"),
+        ],
+        ids=["square, not d^2 dk", "not square", "blank longer than psi", "psi longer than blank"],
+    )
+    def test_a_wrong_shape_is_refused(self, u, beta, psi, message):
+        psi2 = np.ones(len(psi)) / math.sqrt(len(psi))
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            refute_cloning(u, beta, [1.0], psi, psi2)
+        if message.startswith("candidate"):  # the same check as the diagram's
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                hilbert_cloning_diagram(u, beta)
 
     def test_excess_positive_for_random_isometries_and_pairs(self):
         rng = np.random.default_rng(5)
