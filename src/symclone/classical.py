@@ -30,6 +30,11 @@ from .exact import (
     SkewForm,
     _combine,
     _darboux,
+    _entries,
+    _form_from_json,
+    _matrix_from_json,
+    _Parsed,
+    _paused,
     direct_sum,
     form_kernel,
     standard_form,
@@ -55,11 +60,11 @@ class NotApplicableError(ValueError):
     """The requested diagnostic only makes sense in the other dimension regime."""
 
 
-def _vec_from_json(data: dict, key: str) -> RatVector:
+def _vec_from_json(data: dict, key: str, parsed: _Parsed) -> RatVector:
     # a JSON string or object is iterable too, and would parse as a vector
     if not isinstance(data[key], list):
         raise TypeError(f"{key} must be a JSON list")
-    return vec(data[key])
+    return _entries(data[key], parsed)
 
 
 class CloningProcess(Record):
@@ -113,14 +118,18 @@ class CloningProcess(Record):
         }
 
     @classmethod
+    @_paused
     def from_json(cls, data: dict) -> "CloningProcess":
+        # one memo for the whole document: the forms, phi and the readout
+        # share most of their strings, and each is parsed once
+        parsed = _Parsed()
         return cls(
-            object_form=SkewForm.from_json(data["object_form"]),
-            blank=_vec_from_json(data, "blank"),
-            machine_form=SkewForm.from_json(data["machine_form"]),
-            ready=_vec_from_json(data, "ready"),
-            phi=RatMatrix.from_json(data["phi"]),
-            readout=RatMatrix.from_json(data["readout"]),
+            object_form=_form_from_json(data["object_form"], parsed),
+            blank=_vec_from_json(data, "blank", parsed),
+            machine_form=_form_from_json(data["machine_form"], parsed),
+            ready=_vec_from_json(data, "ready", parsed),
+            phi=_matrix_from_json(data["phi"], parsed),
+            readout=_matrix_from_json(data["readout"], parsed),
         )
 
 
@@ -269,6 +278,17 @@ _MINUS_HALF = Fraction(-1, 2)
 _THREE_HALVES = Fraction(3, 2)
 
 
+def _halved(row, offset: int):
+    """A stored row of G or G^-1, halved and moved right by ``offset``
+    columns.  p/q in lowest terms halves to (p/2)/q or p/(2q), in lowest
+    terms again, so no product of Fractions is needed."""
+    out = []
+    for j, x in row:
+        p, q = x.as_integer_ratio()
+        out.append((j + offset, Fraction(p // 2, q) if p % 2 == 0 else Fraction(p, 2 * q)))
+    return tuple(out)
+
+
 def _mirror_assembly(
     form: SkewForm, machine_form: SkewForm, g: RatMatrix, g_inv: RatMatrix
 ) -> CloningProcess:
@@ -280,14 +300,11 @@ def _mirror_assembly(
     ready states and readout G^-1.
     """
     d = form.dim
-
-    def block(row, offset: int, scale: Fraction = _ONE):
-        # a stored row of G or G^-1, moved to a column block and scaled
-        return tuple((j + offset, x if scale is _ONE else x * scale) for j, x in row)
-
-    rows = [((i, _ONE), (d + i, _ONE)) + block(r, 2 * d) for i, r in enumerate(g._nz)]
-    rows += [((i, _ONE), (d + i, _MINUS_HALF)) + block(r, 2 * d, _HALF) for i, r in enumerate(g._nz)]
-    rows += [r + block(r, d, _HALF) + ((2 * d + i, _THREE_HALVES),) for i, r in enumerate(g_inv._nz)]
+    rows = [
+        ((i, _ONE), (d + i, _ONE)) + tuple((j + 2 * d, x) for j, x in r) for i, r in enumerate(g._nz)
+    ]
+    rows += [((i, _ONE), (d + i, _MINUS_HALF)) + _halved(r, 2 * d) for i, r in enumerate(g._nz)]
+    rows += [r + _halved(r, d) + ((2 * d + i, _THREE_HALVES),) for i, r in enumerate(g_inv._nz)]
     return CloningProcess(
         object_form=form,
         blank=zero_vec(d),
@@ -310,6 +327,7 @@ def mirror_cloner(form: SkewForm) -> CloningProcess:
     return _mirror_assembly(form, SkewForm._trusted(-form.matrix), eye, eye)
 
 
+@_paused
 def general_cloner(form: SkewForm) -> CloningProcess:
     """Cloning process for an arbitrary even-dimensional rational symplectic space.
 
@@ -340,6 +358,7 @@ def general_cloner(form: SkewForm) -> CloningProcess:
     return _mirror_assembly(form, machine, g, RatMatrix._raw(g_inv, form.dim))
 
 
+@_paused
 def verify_cloning(c: CloningProcess) -> VerificationReport:
     """Exact verification of a candidate process.
 

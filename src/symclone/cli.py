@@ -203,7 +203,8 @@ def _cmd_quantum_refute(args) -> int:
 
     if args.dim > _MAX_REFUTE_DIM:
         raise ValueError(
-            f"--dim must be at most {_MAX_REFUTE_DIM} (the basis cloner is a d^2 x d^2 complex matrix)"
+            f"--dim must be at most {_MAX_REFUTE_DIM} "
+            "(the refuter builds the basis cloner's d^2 x d prepared arrow)"
         )
     refutation = standard_refutation(args.dim, args.psi_overlap)
     _emit(

@@ -19,9 +19,19 @@ fewer bits on them, and the two groups keep one shared denominator each.
 Floating point only appears in the numerical probe and the quantum module,
 never here.
 
+A skew form's nondegeneracy is certified modulo the prime 32749 first: the
+form's integer rows are eliminated mod p, and full rank there proves full
+rank over Q, since a minor that is nonzero mod p is a nonzero integer.  Only
+a form whose rank mod p is short (det divisible by p, or a degenerate form)
+falls back to the exact ``rank``, which gives the verdict.  So the
+certificate can only skip the exact rank on a form of full rank, and every
+verdict stays exact.
+
 The kernels that allocate in bulk (the dense-grid parse in ``RatMatrix``,
-products, ``rref``, ``rank``, ``symplectic_defect`` and the Darboux walk)
-run with CPython's cyclic garbage collector paused.  They build only acyclic
+products, ``rref``, ``rank``, the certificate, ``symplectic_defect`` and
+the Darboux walk) run with CPython's cyclic garbage collector paused, and so
+do ``classical``'s entry points of the exact round trip (``general_cloner``,
+``verify_cloning`` and ``CloningProcess.from_json``).  They build only acyclic
 objects (Fractions, ints, tuples and lists of them), which reference counting
 frees, so a collection during a kernel scans thousands of fresh objects and
 finds nothing to free.  The collector's state is restored when the kernel
@@ -40,8 +50,8 @@ import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter, mul
+from itertools import compress, repeat
+from operator import itemgetter, mul, ne
 
 
 class ShapeError(ValueError):
@@ -91,11 +101,19 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
 
 
 def _frac(x) -> Fraction:
+    # the canonical string first: what parsed JSON holds, and no str is a
+    # Fraction, whose isinstance test goes through the ABC machinery
+    if isinstance(x, str) and (m := _CANONICAL.fullmatch(x)):
+        # lowest terms or not, p/q is 0 or 1 exactly when p is 0 or q, so the
+        # two interned values need no Fraction
+        p, q = m.groups()
+        p = int(p)
+        q = int(q) if q else 1
+        if not p:
+            return _ZERO
+        return _ONE if p == q else Fraction(p, q)
     if isinstance(x, Fraction):
         f = x
-    elif isinstance(x, str) and (m := _CANONICAL.fullmatch(x)):
-        p, q = m.groups()
-        f = Fraction(int(p), int(q)) if q else Fraction(int(p))
     elif isinstance(x, (int, str)) and not isinstance(x, bool):
         if isinstance(x, str):
             if "_" in x:
@@ -165,12 +183,13 @@ def _json_int(data: dict, key: str) -> int:
 
 
 class _Parsed(dict):
-    """Memo of parsed string entries, for one constructor call.
+    """Memo of parsed string entries, for one constructor call or one JSON
+    document (a process's forms, vectors, phi and readout share one).
 
-    Parsed JSON grids repeat a few strings ("0" above all) thousands of
-    times, and a hit is one C-level lookup.  Only strings are stored: True ==
-    1 == 1.0 share a hash, and a memo keyed on raw values would let booleans
-    and floats through on the strength of an equal entry seen earlier.
+    Parsed JSON grids repeat a few strings thousands of times, and a hit is
+    one C-level lookup.  Only strings are stored: True == 1 == 1.0 share a
+    hash, and a memo keyed on raw values would let booleans and floats
+    through on the strength of an equal entry seen earlier.
     """
 
     def __missing__(self, x) -> Fraction:
@@ -301,6 +320,43 @@ def _back(m: list[list[int]], pivots: list[int]) -> None:
                 m[i] = _eliminate(m[i], m[r], c)
 
 
+# the largest prime below 2^15: residues and their products stay machine-sized
+_P = 32749
+
+
+@_paused
+def _full_rank_mod_p(m: "RatMatrix") -> bool:
+    """Whether the square matrix m has full rank modulo _P, a certificate
+    that it has full rank over Q.
+
+    Each integer row is the row of m times a nonzero denominator, so the
+    integer matrix has m's rank over Q, and its rank mod _P is no larger: a
+    minor that is nonzero mod _P is a nonzero integer.  False is no verdict,
+    as the determinant may be a nonzero multiple of _P; the caller then
+    falls back to the exact ``rank``."""
+    n = m.cols
+    rows = []
+    for _, nz in _int_rows(m):
+        row = [0] * n
+        for j, v in nz:
+            row[j] = v % _P
+        rows.append(row)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        # the rows below the pivot are zero before column c
+        below = [row for row in rows[c + 1 :] if row[c]]
+        if below:
+            inv = pow(rows[c][c], -1, _P)
+            tail = rows[c][c + 1 :]
+            for row in below:
+                f = row[c] * inv % _P
+                row[c + 1 :] = [(a - f * b) % _P for a, b in zip(row[c + 1 :], tail)]
+    return True
+
+
 class RatMatrix:
     """Immutable matrix of exact rationals, stored by row as its nonzeros.
 
@@ -315,31 +371,15 @@ class RatMatrix:
     numerators), so dense matrices with large entries cost one integer
     operation per step where a ``Fraction`` would take a gcd.  ``row``,
     ``tolist``, ``m[i, j]`` and ``to_json`` give dense results.  The
-    constructor takes a dense grid and parses each distinct string entry
-    once per call.
+    constructor takes a dense grid, skips its literal "0" strings unparsed
+    and parses each other distinct string entry once per call.
     """
 
     __slots__ = ("rows", "cols", "_nz")
 
-    @_paused
     def __init__(self, entries: Sequence[Sequence]):
-        entry = _Parsed().__getitem__
-        grid = []
-        for row in _sequence(entries, "rows"):
-            row = tuple(_sequence(row, "entries"))
-            try:
-                grid.append(tuple(map(entry, row)))
-            except TypeError:
-                # an unhashable entry (a nested list, say) fails the memo
-                # lookup; parsing the row without it names the entry's type
-                grid.append(tuple(map(_frac, row)))
-        cols = len(grid[0]) if grid else 0
-        if any(len(row) != cols for row in grid):
-            raise ShapeError("ragged rows")
-        self.rows = len(grid)
-        self.cols = cols
-        # parsing interns every zero as _ZERO, so an identity test drops them
-        self._nz = tuple(tuple([(j, x) for j, x in enumerate(row) if x is not _ZERO]) for row in grid)
+        self._nz, self.cols = _parse_grid(entries, _Parsed())
+        self.rows = len(self._nz)
 
     # -- constructors ------------------------------------------------------
 
@@ -508,20 +548,64 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "RatMatrix":
-        entries = data["entries"]
-        # a JSON string or object is iterable too, and would parse as a row
-        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
-            raise TypeError("matrix entries must be a JSON list of lists")
-        rows, cols = _json_int(data, "rows"), _json_int(data, "cols")
-        # with no rows, cols are only recoverable from the header; a negative
-        # count fails the shape check below
-        m = cls(entries) if entries else cls._raw((), max(cols, 0))
-        if (m.rows, m.cols) != (rows, cols):
-            raise ShapeError("entry grid does not match declared rows/cols")
-        return m
+        return _matrix_from_json(data, _Parsed())
 
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in row] for row in self.tolist()]})"
+
+
+@_paused
+def _parse_grid(entries: Sequence[Sequence], parsed: _Parsed) -> tuple[tuple[SparseRow, ...], int]:
+    """The stored rows and the column count of a dense grid, each distinct
+    string entry parsed once through the memo ``parsed``.  A literal "0",
+    most of a sparse grid, is skipped by one C-level comparison per entry;
+    any other zero parses to the interned _ZERO and is dropped by identity."""
+    rows = []
+    widths = []
+    entry = parsed.__getitem__
+    for row in _sequence(entries, "rows"):
+        row = tuple(_sequence(row, "entries"))
+        widths.append(len(row))
+        try:
+            # operator.ne, not "0".__ne__, whose NotImplemented on other types
+            # would be read as true
+            at = list(compress(range(len(row)), map(ne, row, repeat("0"))))
+            values = map(entry, map(row.__getitem__, at))
+            rows.append(tuple([(j, x) for j, x in zip(at, values) if x is not _ZERO]))
+        except (TypeError, ValueError):
+            # an unhashable entry (a nested list, say) fails the memo lookup,
+            # and an entry may fail its comparison with "0"; parsing the row
+            # entry by entry raises for its first bad entry
+            rows.append(tuple([(j, x) for j, x in enumerate(map(_frac, row)) if x is not _ZERO]))
+    cols = widths[0] if widths else 0
+    if any(w != cols for w in widths):
+        raise ShapeError("ragged rows")
+    return tuple(rows), cols
+
+
+def _matrix_from_json(data: dict, parsed: _Parsed) -> RatMatrix:
+    """``RatMatrix.from_json(data)``, parsing string entries through ``parsed``."""
+    entries = data["entries"]
+    # a JSON string or object is iterable too, and would parse as a row
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise TypeError("matrix entries must be a JSON list of lists")
+    rows, cols = _json_int(data, "rows"), _json_int(data, "cols")
+    # with no rows, cols are only recoverable from the header; a negative
+    # count fails the shape check below
+    m = RatMatrix._raw(*(_parse_grid(entries, parsed) if entries else ((), max(cols, 0))))
+    if (m.rows, m.cols) != (rows, cols):
+        raise ShapeError("entry grid does not match declared rows/cols")
+    return m
+
+
+def _entries(v: Sequence, parsed: _Parsed) -> RatVector:
+    """``vec(v)`` for a list, parsing string entries through ``parsed``."""
+    try:
+        return tuple(map(parsed.__getitem__, v))
+    except TypeError:
+        # an unhashable entry fails the memo lookup; parsing without it
+        # names the entry's type
+        return tuple(map(_frac, v))
 
 
 def _is_skew(m: RatMatrix) -> bool:
@@ -543,7 +627,10 @@ class SkewForm:
     """A nondegenerate skew-symmetric rational form on an even-dimensional space.
 
     Construction rejects odd dimension, asymmetric matrices, and degenerate
-    (rank-deficient) matrices eagerly.
+    (rank-deficient) matrices eagerly.  Nondegeneracy is certified by full
+    rank modulo the prime 32749; a matrix short of it there is ranked
+    exactly, so a form whose determinant is a nonzero multiple of 32749 is
+    accepted too, only more slowly.
     """
 
     __slots__ = ("dim", "matrix")
@@ -555,7 +642,7 @@ class SkewForm:
             raise DegenerateFormError("skew forms on odd-dimensional spaces are degenerate")
         if not _is_skew(matrix):
             raise ValueError("matrix is not skew-symmetric")
-        if matrix.rows and matrix.rank() != matrix.rows:
+        if matrix.rows and not _full_rank_mod_p(matrix) and matrix.rank() != matrix.rows:
             raise DegenerateFormError("form matrix is singular")
         self.dim = matrix.rows
         self.matrix = matrix
@@ -582,13 +669,18 @@ class SkewForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "SkewForm":
-        form = cls(RatMatrix.from_json(data))
-        if form.dim != _json_int(data, "dim"):
-            raise ShapeError("declared dim does not match matrix size")
-        return form
+        return _form_from_json(data, _Parsed())
 
     def __repr__(self):
         return f"SkewForm(dim={self.dim})"
+
+
+def _form_from_json(data: dict, parsed: _Parsed) -> SkewForm:
+    """``SkewForm.from_json(data)``, parsing string entries through ``parsed``."""
+    form = SkewForm(_matrix_from_json(data, parsed))
+    if form.dim != _json_int(data, "dim"):
+        raise ShapeError("declared dim does not match matrix size")
+    return form
 
 
 def standard_form(n: int) -> SkewForm:
@@ -773,27 +865,29 @@ def _darboux(form: SkewForm) -> tuple[RatMatrix, RatMatrix]:
         columns += [(se, ue, we), (sf, uf, wf)]
         # v - pair(v, f) e + pair(v, e) f
         #   = v.scale * (v.u + t (dot(v.u, omega e.u) f.u - dot(v.u, omega f.u) e.u))
-        t = se * sf / den
+        tn, td = (se * sf / den).as_integer_ratio()  # t = tn / td
         projected = []
         for (sv, uv), b in zip(remaining, along_e):
             a = sum(map(mul, uv, wf))
             if not a and not b:
                 projected.append((sv, uv))
                 continue
-            tb, ta = t.numerator * b, t.numerator * a
-            w = [t.denominator * x + tb * y - ta * z for x, y, z in zip(uv, uf, ue)]
+            tb, ta = tn * b, tn * a
+            w = [td * x + tb * y - ta * z for x, y, z in zip(uv, uf, ue)]
             g = math.gcd(*w)
-            projected.append((sv * Fraction(g, t.denominator), [x // g for x in w]))
+            projected.append((sv * Fraction(g, td), [x // g for x in w]))
         remaining = projected
-    cols = [_fraction_row(s.denominator, [(i, s.numerator * x) for i, x in enumerate(u)])
-            for s, u, _ in columns]
+    cols = [_scaled_row(s, u) for s, u, _ in columns]
     # omega p_c = s_c (omega u_c) / den, so row c of P^T omega is -s_c / den
     # times omega u_c
-    pt_omega = []
-    for s, _, w in columns:
-        t = -s / den
-        pt_omega.append(_fraction_row(t.denominator, [(j, t.numerator * x) for j, x in enumerate(w)]))
-    return RatMatrix._raw(_transpose(cols, n), n), RatMatrix._raw(tuple(pt_omega), n)
+    pt_omega = tuple(_scaled_row(-s / den, w) for s, _, w in columns)
+    return RatMatrix._raw(_transpose(cols, n), n), RatMatrix._raw(pt_omega, n)
+
+
+def _scaled_row(s: Fraction, u: list[int]) -> SparseRow:
+    """The stored row of s times the dense integer row u."""
+    p, q = s.as_integer_ratio()
+    return _fraction_row(q, [(j, p * x) for j, x in enumerate(u)])
 
 
 def form_kernel(matrix: RatMatrix) -> list[RatVector]:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symclone
-from symclone import classical, probe
+from symclone import classical, exact, probe
 from symclone import (
     CloningProcess,
     CloningVerificationError,
@@ -854,6 +854,26 @@ class TestProcessSerialization:
         assert again.phi == c.phi
         assert again.blank == c.blank
         assert verify_cloning(again).passed
+
+    def test_each_distinct_string_of_the_document_is_parsed_once(self, monkeypatch):
+        c = general_cloner(random_skew_form(8, random.Random(8)))
+        doc = json.loads(json.dumps(c.to_json()))
+        calls = []
+        frac = exact._frac
+
+        def counting_frac(x):
+            calls.append(x)
+            return frac(x)
+
+        monkeypatch.setattr(exact, "_frac", counting_frac)
+        assert CloningProcess.from_json(doc) == c
+        vectors = set(doc["blank"] + doc["ready"])
+        keys = ("object_form", "machine_form", "phi", "readout")
+        grids = {x for key in keys for row in doc[key]["entries"] for x in row}
+        # one memo across the forms, vectors, phi and the readout (whose
+        # strings are all in phi); a literal "0" in a grid is skipped unparsed
+        assert len(calls) == len(set(calls))
+        assert set(calls) == vectors | (grids - {"0"})
 
     def test_report_serializes_rationals_as_strings(self):
         rep = verify_cloning(basic_cloner())

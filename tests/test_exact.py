@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symclone import classical
 from symclone import (
     CloningProcess,
     DegenerateFormError,
@@ -33,7 +34,17 @@ from symclone import (
     verify_cloning,
     zero_vec,
 )
-from symclone.exact import _block_scales, _darboux, _form_blocks, _frac, _is_skew
+from symclone.exact import (
+    _ONE,
+    _P,
+    _ZERO,
+    _block_scales,
+    _darboux,
+    _form_blocks,
+    _frac,
+    _full_rank_mod_p,
+    _is_skew,
+)
 from conftest import kernel_examples, random_skew_form
 import oracles
 
@@ -142,6 +153,135 @@ class TestSkewFormValidation:
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError):
             SkewForm(RatMatrix.identity(2))
+
+
+def _skew(rng: random.Random, dim: int, entry) -> list[list]:
+    """A dense skew grid with strict upper triangle drawn by ``entry(rng)``."""
+    grid = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            grid[i][j] = entry(rng)
+            grid[j][i] = -grid[i][j]
+    return grid
+
+
+def _small(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+def _low_rank(rng: random.Random, dim: int) -> list[list[int]]:
+    """X^T J X for an integer 2r x dim matrix X with 2r < dim: skew, and of
+    rank at most 2r, so degenerate."""
+    r = rng.randrange(dim // 2)
+    x = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(2 * r)]
+    if not r:
+        return [[0] * dim for _ in range(dim)]
+    return (RatMatrix(x).T @ standard_form(r).matrix @ RatMatrix(x)).tolist()
+
+
+@st.composite
+def certificate_cases(draw):
+    """Skew grids of dim 2 to 8 that reach both sides of the certificate:
+    random rational forms, forms with coordinates scaled up or down by the
+    prime (nondegeneracy over Q unchanged, mod p lost for a scaled-up one),
+    low-rank forms, and low-rank forms plus p times a random skew form
+    (congruent to a degenerate form mod p, mostly nondegenerate over Q)."""
+    dim = draw(st.sampled_from([2, 4, 6, 8]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "scaled", "divided", "low rank", "lifted"]))
+    if kind == "low rank":
+        return _low_rank(rng, dim)
+    if kind == "lifted":
+        low = _low_rank(rng, dim)
+        lift = _skew(rng, dim, lambda r: _P * r.randint(-3, 3))
+        return [[a + b for a, b in zip(x, y)] for x, y in zip(low, lift)]
+    grid = _skew(rng, dim, _small)
+    if kind in ("scaled", "divided"):
+        # D grid D with D diagonal, entries 1 or p (or 1/p)
+        d = [rng.choice([1, _P]) for _ in range(dim)]
+        if kind == "divided":
+            d = [Fraction(1, x) for x in d]
+        grid = [[x * d[i] * d[j] for j, x in enumerate(row)] for i, row in enumerate(grid)]
+    return grid
+
+
+class TestNondegeneracyCertificate:
+    """SkewForm checks nondegeneracy modulo the prime 32749 first and falls
+    back to the exact rank only when the rank mod p is short."""
+
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        """The list of matrices whose exact ``rank`` is computed from here on."""
+        calls = []
+        rank = RatMatrix.rank
+
+        def counting_rank(m):
+            calls.append(m)
+            return rank(m)
+
+        monkeypatch.setattr(RatMatrix, "rank", counting_rank)
+        return calls
+
+    @given(certificate_cases())
+    @example([[0, _P], [-_P, 0]])
+    @example([[0, 0], [0, 0]])
+    @settings(max_examples=kernel_examples(200), deadline=None)
+    def test_accepts_exactly_what_the_exact_rank_accepts(self, grid):
+        m = RatMatrix(grid)
+        full = m.rank() == m.rows
+        if _full_rank_mod_p(m):
+            assert full  # the certificate is sound
+        if full:
+            assert SkewForm(m).matrix == m
+        else:
+            with pytest.raises(DegenerateFormError, match="^form matrix is singular$"):
+                SkewForm(m)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[0, _P], [-_P, 0]],
+            # Pfaffian 1 * 32754 - 2 * 3 + 1 * 1 = 32749: det = Pf^2 != 0,
+            # but 0 mod p, with no entry divisible by p
+            [[0, 1, 2, 1], [-1, 0, 1, 3], [-2, -1, 0, 32754], [-1, -3, -32754, 0]],
+        ],
+        ids=["p J", "Pfaffian p"],
+    )
+    def test_a_form_singular_mod_p_is_accepted_through_the_fallback(self, grid, rank_calls):
+        m = RatMatrix(grid)
+        assert not _full_rank_mod_p(m)
+        assert SkewForm(m).dim == m.rows
+        assert rank_calls == [m]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[0, 0], [0, 0]],
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, _P, 0, 0], [-_P, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 1, 1, 1], [-1, 0, 1, 1], [-1, -1, 0, 0], [-1, -1, 0, 0]],
+        ],
+        ids=["zero", "one block", "p block", "repeated row"],
+    )
+    def test_degenerate_forms_are_refused_with_the_same_message(self, grid, rank_calls):
+        with pytest.raises(DegenerateFormError, match="^form matrix is singular$"):
+            SkewForm(RatMatrix(grid))
+        assert len(rank_calls) == 1
+
+    def test_random_forms_take_no_exact_rank(self, rank_calls):
+        rng = random.Random(27)
+        forms = [random_skew_form(dim, rng).matrix for dim in range(2, 33, 2) for _ in range(3)]
+        del rank_calls[:]  # random_skew_form ranks its draws itself
+        for m in forms:
+            assert SkewForm(m).matrix is m
+        assert rank_calls == []
+
+    def test_from_json_takes_no_exact_rank(self, rank_calls):
+        process = general_cloner(random_skew_form(16, random.Random(16)))
+        doc = json.loads(json.dumps(process.to_json()))
+        del rank_calls[:]
+        assert CloningProcess.from_json(doc) == process
+        assert rank_calls == []
 
 
 class TestSymplecticMap:
@@ -940,6 +1080,56 @@ class TestParsing:
         with pytest.raises(ValueError, match="^matrix is not skew-symmetric$"):
             SkewForm(RatMatrix(grid))
 
+    @pytest.mark.parametrize(
+        "text, value", [("0", _ZERO), ("-0", _ZERO), ("0/7", _ZERO), ("1", _ONE), ("3/3", _ONE)]
+    )
+    def test_zero_and_one_spellings_parse_to_the_interned_values(self, text, value):
+        assert _frac(text) is value
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(0.5, "got float"), (True, "got bool"), ([1], "got list")],
+        ids=["float", "bool", "list"],
+    )
+    @pytest.mark.parametrize(
+        "row",
+        [["0", None], [None, "0"], ["0", None, "0", "1/2"]],
+        ids=["after", "before", "between"],
+    )
+    def test_a_zero_string_beside_a_bad_entry_keeps_the_refusal(self, bad, message, row):
+        # the literal "0" is skipped unparsed; the bad entry is still refused
+        row = [bad if x is None else x for x in row]
+        with pytest.raises(TypeError, match=f"^expected an exact rational entry, {message}$"):
+            RatMatrix([["1"] * len(row), row])
+
+    def test_a_zero_string_beside_an_int_parses(self):
+        m = RatMatrix([["0", 3, "0", 0], [0, "0", -1, "0"]])
+        assert m.tolist() == [[0, 3, 0, 0], [0, 0, -1, 0]]
+        assert m._nz == (((1, Fraction(3)),), ((2, Fraction(-1)),))
+
+    @pytest.mark.parametrize("error", [TypeError, ValueError])
+    def test_an_entry_that_fails_its_comparison_is_refused_by_type(self, error):
+        # a numpy array compares elementwise, and the truth value of the
+        # result raises ValueError
+        class Ambiguous:
+            def __bool__(self):
+                raise error("no truth value")
+
+        class Odd:
+            def __ne__(self, other):
+                return Ambiguous()
+
+        with pytest.raises(TypeError, match="^expected an exact rational entry, got Odd$"):
+            RatMatrix([["0", Odd()]])
+
+    @given(sparse_grids())
+    @settings(max_examples=kernel_examples(150), deadline=None)
+    def test_no_stored_row_holds_a_zero(self, grid_cols):
+        grid, cols = grid_cols
+        m = from_grid(grid, cols)
+        assert all(x for row in m._nz for _, x in row)
+        assert m.tolist() == dense(grid)
+
 
 class TestEntryContainers:
     """Strings, bytes, mappings and sets iterate, but never as a grid, row or
@@ -991,6 +1181,7 @@ def collector(request):
 
 
 _FORM4 = RatMatrix([[0, 2, 1, 0], [-2, 0, 0, 3], [-1, 0, 0, 1], [0, -3, -1, 0]])
+_BASIC = basic_cloner().to_json()
 
 
 class TestCollectorPause:
@@ -1012,11 +1203,16 @@ class TestCollectorPause:
             lambda: _FORM4.inverse(),
             lambda: darboux_basis(SkewForm(_FORM4)),
             lambda: SkewForm.from_json(SkewForm(_FORM4).to_json()),
+            lambda: _full_rank_mod_p(_FORM4),
+            # the entry points of the exact round trip
             lambda: general_cloner(SkewForm(_FORM4)),
+            lambda: verify_cloning(general_cloner(SkewForm(_FORM4))),
+            lambda: CloningProcess.from_json(general_cloner(SkewForm(_FORM4)).to_json()),
         ],
         ids=[
             "parse", "from_json", "matmul", "rref", "rank", "symplectic_defect", "darboux",
-            "inverse", "darboux_basis", "SkewForm.from_json", "general_cloner",
+            "inverse", "darboux_basis", "SkewForm.from_json", "certificate", "general_cloner",
+            "verify_cloning", "CloningProcess.from_json",
         ],
     )
     def test_state_is_kept_on_return(self, collector, kernel):
@@ -1036,10 +1232,14 @@ class TestCollectorPause:
                 ValueError,
             ),
             (lambda: _darboux(SkewForm._trusted(RatMatrix.zeros(2, 2))), DegenerateFormError),
+            (lambda: general_cloner(SkewForm._trusted(RatMatrix.zeros(2, 2))), DegenerateFormError),
+            (lambda: verify_cloning(None), AttributeError),
+            (lambda: CloningProcess.from_json({**_BASIC, "blank": ["0", 0.5]}), TypeError),
+            (lambda: CloningProcess.from_json({**_BASIC, "ready": ["0"]}), ShapeError),
         ],
         ids=[
             "ragged", "float", "unhashable", "matmul shape", "defect shape", "nested parse",
-            "degenerate walk",
+            "degenerate walk", "general_cloner", "verify_cloning", "process entry", "process shape",
         ],
     )
     def test_state_is_kept_on_raise(self, collector, kernel, error):
@@ -1057,6 +1257,32 @@ class TestCollectorPause:
 
         RatMatrix([Row([1, 2]), Row([3, 4])])
         assert seen == [False, False]
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "inner, entry",
+        [
+            ("_mirror_assembly", lambda c, doc: general_cloner(c.object_form)),
+            ("symplectic_defect", lambda c, doc: verify_cloning(c)),
+            ("_vec_from_json", lambda c, doc: CloningProcess.from_json(doc)),
+        ],
+        ids=["general_cloner", "verify_cloning", "CloningProcess.from_json"],
+    )
+    def test_the_round_trip_runs_paused(self, collector, monkeypatch, inner, entry):
+        # the entry points pause the collector over their own work too, not
+        # only over the kernels they call
+        c = general_cloner(SkewForm(_FORM4))
+        doc = c.to_json()
+        seen = []
+        called = getattr(classical, inner)
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return called(*args)
+
+        monkeypatch.setattr(classical, inner, spy)
+        entry(c, doc)
+        assert seen and not any(seen)
         assert gc.isenabled() is collector
 
     def test_the_exact_ops_make_no_cyclic_garbage(self):
