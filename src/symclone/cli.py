@@ -3,7 +3,8 @@
 Exit codes: 0 on success/pass, 1 on a verified negative result (a candidate
 fails verification, the readout equation is infeasible, a refutation or size
 witness is produced), 2 on usage, parse, or shape errors, and when standard
-output is closed before the report is written.  ``_load`` is the only reader
+output is closed before the report is written.  With standard error closed,
+an error still exits 2 but prints nothing.  ``_load`` is the only reader
 of input files: a file that cannot be opened (missing, a directory, a path
 through a file), is not UTF-8, is not JSON (nested too deeply, an integer
 past Python's digit limit) or is not a valid document (a decimal exponent
@@ -16,6 +17,12 @@ maps them to exit 2.  Reports are deterministic for fixed arguments and seed.
 Only ``quantum-refute``, ``probe`` and ``diagram-check --instance hilb``
 load numpy; the exact commands start without it, and without numpy
 installed the three float commands exit 2 with one line.
+
+``main``, the ``symclone`` script and ``python -m symclone.cli``, ends the
+process with ``os._exit`` once the report is flushed: no interpreter
+teardown follows the answer, so ``atexit``-based tools such as coverage.py
+do not see CLI subprocesses.  ``run(argv)`` runs a command in process and
+returns its exit code.
 """
 
 from __future__ import annotations
@@ -330,7 +337,20 @@ _HANDLERS = {
 }
 
 
+def _error(message: str) -> int:
+    """Write ``error: <message>`` as one line on standard error and give exit
+    2.  With standard error closed nothing can be written, and the exit code
+    alone tells; ``print`` would send the line to standard output instead."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"error: {message}\n")
+        except OSError:
+            pass
+    return EXIT_USAGE
+
+
 def run(argv: list[str] | None = None) -> int:
+    """Run one command in process and return its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -340,31 +360,40 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:  # the usage errors here and every symclone error class
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(str(exc))
     except ModuleNotFoundError as exc:
         # the float commands import numpy when they run; without it they
         # cannot run at all, which is not a verified negative
         if exc.name != "numpy":
             raise
         what = "diagram-check --instance hilb" if args.command == "diagram-check" else args.command
-        print(f"error: {what} needs numpy, which is not installed", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"{what} needs numpy, which is not installed")
     finally:
         sys.set_int_max_str_digits(limit)
 
 
+_STDOUT_CLOSED = "standard output closed before the report was written"
+
+
 def main() -> None:
-    try:
-        code = run()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away (``symclone ... | head``); point stdout at
-        # devnull so the flush at shutdown does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output closed before the report was written", file=sys.stderr)
-        code = EXIT_USAGE
-    sys.exit(code)
+    """The ``symclone`` script: ``run`` the command line, flush the report,
+    and end the process with ``os._exit``.  Nothing runs after the answer is
+    out: no module teardown, no numpy finalizers, no ``atexit`` handlers.  An
+    unexpected exception still propagates with its traceback."""
+    if sys.stdout is None:  # started with standard output closed
+        code = _error(_STDOUT_CLOSED)
+    else:
+        try:
+            code = run()
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader went away (``symclone ... | head``)
+            code = _error(_STDOUT_CLOSED)
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -216,6 +216,9 @@ def _json_complex(entry) -> complex:
     ``json.load`` accepts NaN, Infinity and -Infinity, reads ``1e999`` as
     inf and a 400-digit integer as an int no double holds; booleans are ints
     to Python.  Each of these is refused."""
+    # a JSON string or object is iterable too, and would unpack as a pair
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise TypeError("an amplitude must be an [re, im] pair")
     re, im = entry
     for x in (re, im):
         if type(x) not in (int, float):
@@ -226,7 +229,10 @@ def _json_complex(entry) -> complex:
 
 
 def complex_matrix_from_json(data: dict) -> np.ndarray:
-    a = np.array([[_json_complex(z) for z in row] for row in data["entries"]], dtype=complex)
+    entries = data["entries"]
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise TypeError("matrix entries must be a JSON list of lists")
+    a = np.array([[_json_complex(z) for z in row] for row in entries], dtype=complex)
     shape = (_json_int(data, "rows"), _json_int(data, "cols"))
     if a.size == 0:
         a = a.reshape(shape)
@@ -236,6 +242,8 @@ def complex_matrix_from_json(data: dict) -> np.ndarray:
 
 
 def complex_vector_from_json(entries) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise TypeError("a vector must be a JSON list")
     return np.array([_json_complex(z) for z in entries], dtype=complex)
 
 

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
@@ -350,6 +351,38 @@ class TestDiagramCheck:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1  # no traceback
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # each used to exit 2 with Python's unpacking text
+            ("beta", "ab", "a vector must be a JSON list"),
+            ("beta", {"a": 1}, "a vector must be a JSON list"),
+            ("rho", "a", "a vector must be a JSON list"),
+            ("beta", [[1, 0, 0], [0, 0]], "an amplitude must be an [re, im] pair"),
+            ("beta", [[1, 0], "ab"], "an amplitude must be an [re, im] pair"),
+            ("beta", [1, 0], "an amplitude must be an [re, im] pair"),
+            ("entries", "ab", "matrix entries must be a JSON list of lists"),
+            ("entries", ["ab"], "matrix entries must be a JSON list of lists"),
+            ("entries", [[[1]]], "an amplitude must be an [re, im] pair"),
+        ],
+    )
+    def test_a_malformed_hilbert_vector_or_amplitude_names_the_rule(self, tmp_path, capsys, field, value, message):
+        payload = {
+            "unitary": complex_matrix_to_json(basis_cloner(2)),
+            "beta": [[1.0, 0.0], [0.0, 0.0]],
+        }
+        if field == "entries":
+            payload["unitary"]["entries"] = value
+        else:
+            payload[field] = value
+        path = tmp_path / "hilb.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_capture(
+            capsys, "diagram-check", "--instance", "hilb", "--input", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: missing or malformed field: {message}\n"
+
     @pytest.mark.parametrize("key, value", [("rows", 4.0), ("cols", 4.0), ("rows", True), ("cols", False)])
     def test_non_integer_hilbert_size_header_is_a_parse_error(self, tmp_path, capsys, key, value):
         # 4 == 4.0, so a float header used to pass and the check ran (exit 1)
@@ -554,19 +587,22 @@ class TestContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a JSON integer" in err
 
-    def test_closed_stdout_exits_two_without_traceback(self):
+    @pytest.mark.parametrize("head", [None, 10], ids=["closed at once", "head -c 10"])
+    def test_closed_stdout_exits_two_without_traceback(self, head):
         # the dim-100 report is 1.5 MB, far more than a pipe buffers, so the
         # write fails whether or not the child started writing before the close
         p = subprocess.Popen(
             [sys.executable, "-m", "symclone.cli", "construct-general", "--dim", "100"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV,
         )
+        if head is not None:  # ``symclone construct-general --dim 100 | head -c 10``
+            read = subprocess.run(["head", "-c", str(head)], stdin=p.stdout, capture_output=True, timeout=120)
+            assert read.stdout == b'{\n  "blank'
         p.stdout.close()
         err = p.stderr.read().decode()
         p.stderr.close()
         assert p.wait(timeout=120) == 2
-        assert "Traceback" not in err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: standard output closed before the report was written\n"
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_capture(capsys, "frobnicate")
@@ -819,6 +855,78 @@ class TestNumpyFree:
         assert out.returncode == 0, out.stderr
         assert "symclone.cli" in out.stderr
         assert [line for line in out.stderr.splitlines() if "numpy" in line] == []
+
+
+def _cli(*argv) -> list[str]:
+    return [sys.executable, "-m", "symclone.cli", *argv]
+
+
+# stdout block-buffered, as users have it: PYTHONUNBUFFERED would hide a
+# report's tail left in the buffer at exit
+_CLI_ENV = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+
+
+class _Unwritable(io.TextIOBase):
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+class TestProcessEnd:
+    """``main`` ends the process with ``os._exit`` once the report is
+    flushed: the subprocess must still write every byte ``run`` writes, and
+    a closed stdout or stderr must give exit 2."""
+
+    def test_subprocess_output_is_what_run_writes(self, tmp_path, capsys):
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps(standard_form(2).to_json()))
+        for argv, want in [
+            (["construct-basic"], 0),
+            (["--format", "human", "darboux", "--input", str(form)], 0),
+            (["readout-solve", "--m", "2", "--k", "1"], 1),
+            (["quantum-refute", "--dim", "2"], 1),
+            (["verify", "--input", str(tmp_path / "missing.json")], 2),
+            (["construct-general"], 2),  # argparse's usage text
+        ]:
+            done = subprocess.run(_cli(*argv), env=_CLI_ENV, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stdout, done.stderr) == run_capture(capsys, *argv), argv
+            assert done.returncode == want, argv
+
+    def test_a_large_report_loses_no_byte(self, tmp_path, capsys):
+        # about 25 MB, written through a pipe and to a file
+        argv = ["construct-general", "--dim", str(_MAX_CONSTRUCT_DIM)]
+        code, out, _ = run_capture(capsys, *argv)
+        want = out.encode()
+        assert code == 0 and len(want) > 20_000_000
+        piped = subprocess.run(_cli(*argv), env=_CLI_ENV, capture_output=True, timeout=120)
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout == want
+        path = tmp_path / "general.json"
+        with open(path, "wb") as fh:
+            written = subprocess.run(_cli(*argv), env=_CLI_ENV, stdout=fh, stderr=subprocess.PIPE, timeout=120)
+        assert (written.returncode, written.stderr) == (0, b"")
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("argv", [["construct-basic"], ["readout-solve", "--m", "2", "--k", "1"]])
+    def test_a_stdout_closed_at_start_exits_two_with_one_line(self, argv):
+        # the shell closes fd 1 before the interpreter starts, so sys.stdout is None
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *_cli(*argv)],
+                              env=_CLI_ENV, stderr=subprocess.PIPE, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == b"error: standard output closed before the report was written\n"
+
+    def test_a_closed_stderr_exits_two_and_writes_nothing(self, tmp_path):
+        done = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh",
+                               *_cli("verify", "--input", str(tmp_path / "missing.json"))],
+                              env=_CLI_ENV, stdout=subprocess.PIPE, timeout=120)
+        assert (done.returncode, done.stdout) == (2, b"")
+
+    @pytest.mark.parametrize("stderr", [None, _Unwritable()], ids=["None", "unwritable"])
+    def test_an_error_with_stderr_unwritable_is_exit_two_in_process(self, monkeypatch, capsys, tmp_path, stderr):
+        # None is how Python shows a stream closed at start; a descriptor
+        # closed otherwise raises on write.  Neither may send the line to stdout.
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert run(["verify", "--input", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def _leaf_paths(doc, path=()):
