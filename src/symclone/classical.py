@@ -32,6 +32,7 @@ from .exact import (
     _darboux,
     _entries,
     _form_from_json,
+    _json_object,
     _matrix_from_json,
     _Parsed,
     _paused,
@@ -123,13 +124,14 @@ class CloningProcess(Record):
         # one memo for the whole document: the forms, phi and the readout
         # share most of their strings, and each is parsed once
         parsed = _Parsed()
+        data = _json_object(data, "a process document")
         return cls(
-            object_form=_form_from_json(data["object_form"], parsed),
+            object_form=_form_from_json(data["object_form"], parsed, "object_form"),
             blank=_vec_from_json(data, "blank", parsed),
-            machine_form=_form_from_json(data["machine_form"], parsed),
+            machine_form=_form_from_json(data["machine_form"], parsed, "machine_form"),
             ready=_vec_from_json(data, "ready", parsed),
-            phi=_matrix_from_json(data["phi"], parsed),
-            readout=_matrix_from_json(data["readout"], parsed),
+            phi=_matrix_from_json(data["phi"], parsed, "phi"),
+            readout=_matrix_from_json(data["readout"], parsed, "readout"),
         )
 
 

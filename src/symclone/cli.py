@@ -66,7 +66,7 @@ _MAX_READOUT_PAIRS = 200
 _MAX_PROBE_PAIRS = 16
 # diagram-check --instance hilb draws each sampled state in turn, then checks
 # and reads them out in blocks of 256: at 10,000 states and a 256 x 256
-# unitary, 0.44 s and 46 MB peak from interpreter start (medians of 5
+# unitary, 0.33 s and 45 MB peak from interpreter start (medians of 5
 # processes, one BLAS thread, 2-vCPU VM)
 _MAX_HILBERT_SAMPLES = 10_000
 

@@ -152,9 +152,9 @@ def vec(entries: Iterable) -> RatVector:
     """Coerce a sequence of ints/strings/Fractions to an exact vector.
 
     A tuple of Fractions is already one and is returned as it is, after one
-    type test per entry; anything else is parsed entry by entry, and
-    booleans and floats are refused."""
-    if type(entries) is tuple and all(type(x) is Fraction for x in entries):
+    C-level pass over its entries' types; anything else is parsed entry by
+    entry, and booleans and floats are refused."""
+    if type(entries) is tuple and set(map(type, entries)) <= {Fraction}:
         return entries
     return tuple(map(_frac, _sequence(entries, "entries")))
 
@@ -171,6 +171,14 @@ def _vec_add(u: RatVector, v: RatVector) -> RatVector:
     if v.count(_ZERO) == len(v):
         return u
     return tuple((a + b) if b else a for a, b in zip(u, v))
+
+
+def _json_object(data, name: str) -> dict:
+    """``data``, which must be a JSON object: a list or a string indexed by a
+    field name fails with Python's message, which names no rule."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{name} must be a JSON object")
+    return data
 
 
 def _json_int(data: dict, key: str) -> int:
@@ -583,9 +591,10 @@ def _parse_grid(entries: Sequence[Sequence], parsed: _Parsed) -> tuple[tuple[Spa
     return tuple(rows), cols
 
 
-def _matrix_from_json(data: dict, parsed: _Parsed) -> RatMatrix:
-    """``RatMatrix.from_json(data)``, parsing string entries through ``parsed``."""
-    entries = data["entries"]
+def _matrix_from_json(data: dict, parsed: _Parsed, name: str = "matrix") -> RatMatrix:
+    """``RatMatrix.from_json(data)``, parsing string entries through ``parsed``;
+    ``name`` is the field that holds ``data``."""
+    entries = _json_object(data, name)["entries"]
     # a JSON string or object is iterable too, and would parse as a row
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise TypeError("matrix entries must be a JSON list of lists")
@@ -675,9 +684,10 @@ class SkewForm:
         return f"SkewForm(dim={self.dim})"
 
 
-def _form_from_json(data: dict, parsed: _Parsed) -> SkewForm:
-    """``SkewForm.from_json(data)``, parsing string entries through ``parsed``."""
-    form = SkewForm(_matrix_from_json(data, parsed))
+def _form_from_json(data: dict, parsed: _Parsed, name: str = "form") -> SkewForm:
+    """``SkewForm.from_json(data)``, parsing string entries through ``parsed``;
+    ``name`` is the field that holds ``data``."""
+    form = SkewForm(_matrix_from_json(data, parsed, name))
     if form.dim != _json_int(data, "dim"):
         raise ShapeError("declared dim does not match matrix size")
     return form

@@ -53,8 +53,9 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
     # never written has rho = 0, so the recursion passes it unchanged.  Each
     # vector is a 1 x n matrix, so a batched matmul with a column takes the
     # dot products of all rows at once.  The recursion reads the slots through
-    # views, made again only when rows leave, newest first for each head;
-    # where all rows agree, shortcuts skip the general path's masks.
+    # views, and writes q and its updates into buffers, all made again only
+    # when rows leave; views are newest first for each head.  Where all rows
+    # agree, shortcuts skip the general path's masks.
     ring = _HISTORY + 1
     s_ring = np.zeros((ring, rows, 1, n))
     y_ring = np.zeros((ring, rows, 1, n))
@@ -75,9 +76,11 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
         if views is None:
             slot = list(zip(s_ring, y_ring, rho[:, :, None, None]))  # (s, y, rho) each
             views = [[slot[(h - j) % ring] for j in range(1, ring)] for h in range(ring)]
-        q = g.copy()
-        q_row, q_col = q[:, None, :], q[:, :, None]
-        term = np.empty_like(q_row)  # one buffer for the recursion's updates
+            # the direction q and one buffer for the recursion's updates
+            q = np.empty_like(g)
+            q_row, q_col = q[:, None, :], q[:, :, None]
+            term = np.empty_like(q_row)
+        np.copyto(q, g)
         alphas = []
         for s, y, r in views[head]:
             alphas.append(r * np.matmul(s, q_col))
@@ -85,7 +88,7 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
         q /= gamma[:, None]
         for (s, y, r), a in zip(reversed(views[head]), reversed(alphas)):
             q_row += np.multiply(a - r * np.matmul(y, q_col), s, out=term)
-        slope = -dot(g, q)
+        slope = -np.matmul(g[:, None, :], q_col)[:, 0, 0]  # dot(g, q)
         paired = paired or (rho[head - 1] > 0).all()  # then np.where gives all 1
         step = 1.0 if paired else np.where(rho[head - 1] > 0, 1.0, 1.0 / np.sqrt(dot(g, g)))
         x_new = x - q if paired else x - step[:, None] * q  # 1 * q is q

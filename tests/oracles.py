@@ -22,8 +22,9 @@ product formula, G^-1 = J (G^T omega).
 ``verify_cloning`` checks a process entry by entry on dense grids, and
 ``shuffle_permutation`` gives the block shuffle that the product
 constructors' phi is conjugated by.  ``pair`` evaluates a skew form on two
-vectors, and ``complex_matrix_to_json`` writes a complex matrix in the layout
-of Hilbert diagram files; the program needs neither.  ``lbfgs`` and
+vectors, ``complex_matrix_to_json`` writes a complex matrix in the layout
+of Hilbert diagram files and ``random_isometry`` draws the isometries the
+float tests run on; the program needs none of them.  ``lbfgs`` and
 ``clone_residual_probe`` run the residual probe's restarts one after
 another, one L-BFGS run each, on ``probe_objective``, where Xi is applied by
 a dense product; each row of the batched ``probe._lbfgs`` must return,
@@ -76,6 +77,19 @@ def transvection(form: SkewForm, u: Sequence, lam) -> tuple[RatMatrix, RatMatrix
         return RatMatrix([[(i == j) + c * u[i] * row[j] for j in range(n)] for i in range(n)])
 
     return shear(Fraction(lam)), shear(-Fraction(lam))
+
+
+def random_isometry(rows: int, cols: int, rng) -> Any:
+    """A rows x cols complex isometry drawn with the numpy Generator ``rng``:
+    the Q factor of a complex Gaussian matrix, its phases fixed so that the
+    result depends on the draws alone."""
+    import numpy as np
+
+    if rows < cols:
+        raise ValueError("an isometry needs rows >= cols")
+    a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(a)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[np.newaxis, :].conj()
 
 
 def complex_matrix_to_json(a) -> dict:

@@ -36,9 +36,9 @@ from symclone import (
 )
 from symclone.cli import run as cli_run
 from symclone.diagrams import AffineMap, CloningDiagram
-from symclone.quantum import random_isometry, random_state
+from symclone.quantum import random_state
 from conftest import random_skew_form
-from oracles import check_traditional_diagram
+from oracles import check_traditional_diagram, random_isometry
 
 
 def report(name, ok):

@@ -209,19 +209,42 @@ class TestQuantumRefute:
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())["runs"]
 
 
+def _perturbed_standard3() -> dict:
+    doc = general_cloner(standard_form(3)).to_json()
+    doc["phi"]["entries"][0][0] = "2"
+    return doc
+
+
+def _shift3_k4() -> dict:
+    # |i, j, k> -> |i, i + j mod 3, k + i mod 4> on C^3 x C^3 x C^4, ready
+    # state 0.6|0> + 0.8|1>: it clones the basis into shifted machine states
+    u = np.zeros((36, 36), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            for k in range(4):
+                u[(i * 3 + (i + j) % 3) * 4 + (k + i) % 4, (i * 3 + j) * 4 + k] = 1.0
+    beta, rho = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    return {"unitary": complex_matrix_to_json(u), "beta": beta, "rho": rho}
+
+
+# the input files the golden runs name, each built only by the runs that name it
+_GOLDEN_FILES = {
+    "CNOT": lambda: {"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]},
+    "SHIFT3_K4": _shift3_k4,
+    "BASIC": lambda: basic_cloner().to_json(),
+    "STANDARD3_PERTURBED": _perturbed_standard3,
+}
+
+
 @pytest.mark.parametrize("golden", _GOLDEN, ids=[" ".join(g["argv"]) for g in _GOLDEN])
 def test_float_commands_print_the_recorded_bytes(tmp_path, capsys, golden):
     # every byte of each report is pinned, every digit of the float ones too
-    perturbed = general_cloner(standard_form(3)).to_json()
-    perturbed["phi"]["entries"][0][0] = "2"
-    files = {
-        "CNOT": {"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]},
-        "BASIC": basic_cloner().to_json(),
-        "STANDARD3_PERTURBED": perturbed,
-    }
-    for name, doc in files.items():
-        (tmp_path / name).write_text(json.dumps(doc))
-    argv = [str(tmp_path / a) if a in files else a for a in golden["argv"]]
+    argv = []
+    for a in golden["argv"]:
+        if a in _GOLDEN_FILES:
+            (tmp_path / a).write_text(json.dumps(_GOLDEN_FILES[a]()))
+            a = str(tmp_path / a)
+        argv.append(a)
     code, out, err = run_capture(capsys, *argv)
     assert (code, out, err) == (golden["code"], golden["stdout"], "")
 
@@ -364,6 +387,9 @@ class TestDiagramCheck:
             ("entries", "ab", "matrix entries must be a JSON list of lists"),
             ("entries", ["ab"], "matrix entries must be a JSON list of lists"),
             ("entries", [[[1]]], "an amplitude must be an [re, im] pair"),
+            # each used to exit 2 with Python's indexing text
+            ("unitary", [1], "unitary must be a JSON object"),
+            ("unitary", "x", "unitary must be a JSON object"),
         ],
     )
     def test_a_malformed_hilbert_vector_or_amplitude_names_the_rule(self, tmp_path, capsys, field, value, message):
@@ -586,6 +612,31 @@ class TestContract:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a JSON integer" in err
+
+    @pytest.mark.parametrize(
+        "command, field, value, message",
+        [
+            # each used to exit 2 with Python's indexing text
+            ("verify", "phi", [1], "phi must be a JSON object"),
+            ("verify", "readout", [], "readout must be a JSON object"),
+            ("verify", "object_form", "x", "object_form must be a JSON object"),
+            ("diagram-check --instance symp", "machine_form", 5, "machine_form must be a JSON object"),
+            ("verify", None, [1], "a process document must be a JSON object"),
+            ("darboux", None, "x", "form must be a JSON object"),
+            ("diagram-check --instance hilb", None, [1], "a Hilbert diagram document must be a JSON object"),
+        ],
+    )
+    def test_a_field_or_document_that_is_no_json_object_names_the_rule(self, tmp_path, capsys, command, field, value, message):
+        data = basic_cloner().to_json()
+        if field is None:
+            data = value
+        else:
+            data[field] = value
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_capture(capsys, *command.split(), "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: missing or malformed field: {message}\n"
 
     @pytest.mark.parametrize("head", [None, 10], ids=["closed at once", "head -c 10"])
     def test_closed_stdout_exits_two_without_traceback(self, head):

@@ -29,9 +29,9 @@ from symclone import (
 from symclone import ShapeError, diagrams, exact
 from symclone.exact import _frac
 from conftest import kernel_examples, random_skew_form
-from symclone.quantum import hilbert_diagram_from_json, random_isometry, random_state
+from symclone.quantum import hilbert_diagram_from_json, random_state
 import oracles
-from oracles import check_traditional_diagram, complex_matrix_to_json
+from oracles import check_traditional_diagram, complex_matrix_to_json, random_isometry
 
 
 def shifted_process() -> CloningProcess:
@@ -172,6 +172,61 @@ class TestInstanceCoherence:
         hinst = hilbert_instance()
         psi = hinst.state_arrow(2, [1.0, 0.0])
         assert psi.shape == (2, 1)
+
+
+@st.composite
+def affine_arrows(draw):
+    """Standard forms A and B of dimensions up to 6, and an affine map A -> B
+    with small rational entries, not necessarily symplectic."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = draw(st.lists(st.lists(entry, min_size=2 * a, max_size=2 * a), min_size=2 * b, max_size=2 * b))
+    offset = draw(st.lists(entry, min_size=2 * b, max_size=2 * b))
+    matrix = RatMatrix(rows) if rows else RatMatrix.zeros(0, 2 * a)  # no rows: the header gives the width
+    return standard_form(a), standard_form(b), AffineMap(matrix, offset)
+
+
+@st.composite
+def complex_arrows(draw):
+    """Dimensions a and b up to 3 and a complex b x a matrix."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    part = st.floats(-4, 4, allow_nan=False)
+    re, im = (np.array(draw(st.lists(part, min_size=a * b, max_size=a * b))).reshape(b, a) for _ in range(2))
+    return a, b, re + 1j * im
+
+
+class TestIdentityLaws:
+    """``identity`` is the unit of composition and is monoidal, on both instances."""
+
+    @given(affine_arrows())
+    @settings(max_examples=kernel_examples(50), deadline=None)
+    def test_symplectic_identity_is_the_unit_of_composition(self, arrow):
+        inst = symplectic_instance()
+        a, b, g = arrow
+        assert inst.compose(inst.identity(b), g) == g == inst.compose(g, inst.identity(a))
+
+    @given(st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=kernel_examples(20), deadline=None)
+    def test_symplectic_identity_is_monoidal(self, m, n):
+        inst = symplectic_instance()
+        a, b = standard_form(m), standard_form(n)
+        assert inst.tensor(inst.identity(a), inst.identity(b)) == inst.identity(exact.direct_sum(a, b))
+
+    @given(complex_arrows())
+    @settings(max_examples=kernel_examples(50), deadline=None)
+    def test_hilbert_identity_is_the_unit_of_composition(self, arrow):
+        # a product with the identity adds only exact zeros: equal bit for bit
+        inst = hilbert_instance()
+        a, b, g = arrow
+        for composite in (inst.compose(inst.identity(b), g), inst.compose(g, inst.identity(a))):
+            assert composite.shape == g.shape and np.array_equal(composite, g)
+
+    @given(st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=kernel_examples(20), deadline=None)
+    def test_hilbert_identity_is_monoidal(self, a, b):
+        inst = hilbert_instance()
+        t = inst.tensor(inst.identity(a), inst.identity(b))
+        assert t.dtype == np.complex128 and np.array_equal(t, inst.identity(a * b))
 
 
 class TestStateCoercion:

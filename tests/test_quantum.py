@@ -21,11 +21,10 @@ from symclone.quantum import (
     complex_matrix_from_json,
     complex_vector_from_json,
     isometry_defect,
-    random_isometry,
     random_state,
 )
 from conftest import kernel_examples
-from oracles import complex_matrix_to_json, hilbert_readout, slice_amplitudes
+from oracles import complex_matrix_to_json, hilbert_readout, random_isometry, slice_amplitudes
 
 CNOT = np.array(
     [

@@ -204,7 +204,10 @@ def test_a_subclass_of_diagram_instance_runs_through_the_checker():
     inst, diagram = Traced(), diagram_from_process(_BASIC)[1]
     report = check_cloning_diagram(inst, diagram)
     assert report.passed and report.exhaustive and len(report.results) == 3
-    # one composite with c per family; the readout composes with the shared instance
-    assert [g for g, _ in calls] == [diagram.arrow_c]
+    # one composite with c per check, forming the prepared arrow c o (id x beta
+    # x rho), and one with it per family; the readout composes with the shared
+    # instance
+    prepared = symplectic_instance().compose(diagram.arrow_c, calls[0][1])
+    assert [g for g, _ in calls] == [diagram.arrow_c, prepared]
     broken = CloningDiagram(**{**vars(diagram), "beta": vec([1, 0])})
     assert not check_cloning_diagram(inst, broken).passed
