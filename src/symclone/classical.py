@@ -32,8 +32,10 @@ from .exact import (
     _darboux,
     _entries,
     _form_from_json,
+    _from_coprime,
     _json_object,
     _matrix_from_json,
+    _negated,
     _Parsed,
     _paused,
     direct_sum,
@@ -283,11 +285,12 @@ _THREE_HALVES = Fraction(3, 2)
 def _halved(row, offset: int):
     """A stored row of G or G^-1, halved and moved right by ``offset``
     columns.  p/q in lowest terms halves to (p/2)/q or p/(2q), in lowest
-    terms again, so no product of Fractions is needed."""
+    terms again, so neither a product nor a gcd is needed."""
     out = []
     for j, x in row:
-        p, q = x.as_integer_ratio()
-        out.append((j + offset, Fraction(p // 2, q) if p % 2 == 0 else Fraction(p, 2 * q)))
+        p, q = x._numerator, x._denominator
+        half = _from_coprime(p // 2, q) if p % 2 == 0 else _from_coprime(p, 2 * q)
+        out.append((j + offset, half))
     return tuple(out)
 
 
@@ -354,9 +357,7 @@ def general_cloner(form: SkewForm) -> CloningProcess:
     # G^-1 = J^-1 G^T (-omega) = J G^T omega; G^T omega is P^T omega with
     # each row pair swapped, and J swaps them back, negating the odd rows
     g = RatMatrix._raw(tuple(tuple(sorted((j ^ 1, x) for j, x in row)) for row in p._nz), form.dim)
-    g_inv = tuple(
-        tuple((j, -x) for j, x in row) if i % 2 else row for i, row in enumerate(pt_omega._nz)
-    )
+    g_inv = tuple(_negated(row) if i % 2 else row for i, row in enumerate(pt_omega._nz))
     return _mirror_assembly(form, machine, g, RatMatrix._raw(g_inv, form.dim))
 
 
@@ -383,7 +384,7 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
     defect_norm = defect.max_abs()
     first_defect = next(((i, *row[0]) for i, row in enumerate(defect._nz) if row), None)
 
-    residual = Fraction(0)
+    residual = _ZERO
     reason = ""
 
     def track(value: Fraction, why: str):
@@ -412,7 +413,7 @@ def verify_cloning(c: CloningProcess) -> VerificationReport:
             continue
         copies = False
         # ascending columns, so the first reason is that of the first block
-        for j, x in _combine(got, tuple((j, -x) for j, x in want)):
+        for j, x in _combine(got, _negated(want)):
             if j < dm:
                 why = f"first copy wrong on basis state {i}"
             elif j < 2 * dm:

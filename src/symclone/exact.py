@@ -19,6 +19,16 @@ fewer bits on them, and the two groups keep one shared denominator each.
 Floating point only appears in the numerical probe and the quantum module,
 never here.
 
+Fractions are built where a kernel's integers become entries: each
+``_fraction_row`` entry, the defect's nonzero entries, each canonical
+"p/q" string the parser reads, the halved and negated rows of the cloning
+constructors, and the Darboux walk's per-vector scales.  None of them calls
+the ``Fraction`` constructor, whose argument checks and gcd are what such a
+value costs: each knows its lowest terms already (a canonical string in
+lowest terms, a negated or halved entry of one) or gets them from one gcd
+(``_ratio``), or from the cross gcds of two reduced factors as
+``Fraction._mul`` takes them, and ``_from_coprime`` stores the pair.
+
 A skew form's nondegeneracy is certified modulo the prime 32749 first: the
 form's integer rows are eliminated mod p, and full rank there proves full
 rank over Q, since a minor that is nonzero mod p is a nonzero integer.  Only
@@ -111,7 +121,9 @@ def _frac(x) -> Fraction:
         q = int(q) if q else 1
         if not p:
             return _ZERO
-        return _ONE if p == q else Fraction(p, q)
+        if p == q:
+            return _ONE
+        return _from_coprime(p, q) if math.gcd(p, q) == 1 else Fraction(p, q)
     if isinstance(x, Fraction):
         f = x
     elif isinstance(x, (int, str)) and not isinstance(x, bool):
@@ -146,6 +158,38 @@ SparseRow = tuple[tuple[int, Fraction], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_new = object.__new__
+
+
+def _from_coprime(p: int, q: int) -> Fraction:
+    """p / q for coprime p and q > 0, stored as given: no gcd and no
+    constructor call, as CPython's own ``Fraction._from_coprime_ints`` (3.12
+    on) builds it.  Equality and hashing read the stored pair, so a pair
+    that is not in lowest terms, or a denominator <= 0, must never get here."""
+    f = _new(Fraction)
+    f._numerator = p
+    f._denominator = q
+    return f
+
+
+def _ratio(p: int, q: int) -> Fraction:
+    """Fraction(p, q) for ints with q != 0: one gcd, then the sign moved
+    to the numerator."""
+    g = math.gcd(p, q)
+    if q <= 0:
+        if not q:
+            raise ZeroDivisionError(f"Fraction({p}, 0)")
+        g = -g
+    if g != 1:
+        p //= g
+        q //= g
+    return _from_coprime(p, q)
+
+
+def _negated(row: SparseRow) -> SparseRow:
+    """The stored row of -row: each entry's numerator negated, in lowest terms still."""
+    return tuple((j, _from_coprime(-x._numerator, x._denominator)) for j, x in row)
 
 
 def vec(entries: Iterable) -> RatVector:
@@ -258,8 +302,9 @@ def _int_rows(m: "RatMatrix") -> list[tuple[int, tuple[tuple[int, int], ...]]]:
 
 
 def _fraction_row(den: int, nums: Iterable[tuple[int, int]]) -> SparseRow:
-    """The stored row with entries num / den, zero numerators dropped."""
-    return tuple((j, Fraction(v, den)) for j, v in nums if v)
+    """The stored row with entries num / den, zero numerators dropped;
+    den may be negative."""
+    return tuple((j, _ratio(v, den)) for j, v in nums if v)
 
 
 def _scatter(terms, lo: int, cols: int) -> tuple[tuple[int, int], ...]:
@@ -448,7 +493,7 @@ class RatMatrix:
         return hash((self.cols, self._nz))
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix._raw(tuple(tuple((j, -x) for j, x in row) for row in self._nz), self.cols)
+        return RatMatrix._raw(tuple(map(_negated, self._nz)), self.cols)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -810,12 +855,10 @@ def symplectic_defect(S: RatMatrix, form_in: SkewForm, form_out: SkewForm) -> Ra
         if f:
             terms.append((-e * (drow // q), tuple((j, v * scale[j]) for j, v in f)))
         upper.append(
-            tuple((j, Fraction(v, e * scale[j] * drow)) for j, v in _scatter(terms, i + 1, n))
+            tuple((j, _ratio(v, e * scale[j] * drow)) for j, v in _scatter(terms, i + 1, n))
         )
     lower = _transpose(upper, n)
-    return RatMatrix._raw(
-        tuple(tuple((j, -x) for j, x in low) + up for low, up in zip(lower, upper)), n
-    )
+    return RatMatrix._raw(tuple(_negated(low) + up for low, up in zip(lower, upper)), n)
 
 
 def _from(row, key: tuple[int]):
@@ -885,7 +928,14 @@ def _darboux(form: SkewForm) -> tuple[RatMatrix, RatMatrix]:
             tb, ta = tn * b, tn * a
             w = [td * x + tb * y - ta * z for x, y, z in zip(uv, uf, ue)]
             g = math.gcd(*w)
-            projected.append((sv * Fraction(g, td), [x // g for x in w]))
+            # the new scale sv * g / td in lowest terms, by the cross gcds of
+            # Fraction._mul: sv is reduced, and so is gn / gd
+            h = math.gcd(g, td)
+            gn, gd = g // h, td // h
+            p, q = sv._numerator, sv._denominator
+            hp, hq = math.gcd(p, gd), math.gcd(gn, q)
+            scale = _from_coprime(p // hp * (gn // hq), q // hq * (gd // hp))
+            projected.append((scale, [x // g for x in w]))
         remaining = projected
     cols = [_scaled_row(s, u) for s, u, _ in columns]
     # omega p_c = s_c (omega u_c) / den, so row c of P^T omega is -s_c / den

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import symclone
 from symclone import (
+    CloningProcess,
     RatMatrix,
     SkewForm,
     basic_cloner,
@@ -227,17 +229,46 @@ def _shift3_k4() -> dict:
     return {"unitary": complex_matrix_to_json(u), "beta": beta, "rho": rho}
 
 
+def _skew(dim: int, entry) -> SkewForm:
+    """The skew form whose upper triangle holds entry(i, j)."""
+    return SkewForm(
+        RatMatrix(
+            [[entry(i, j) if i < j else -entry(j, i) if j < i else 0 for j in range(dim)] for i in range(dim)]
+        )
+    )
+
+
+def _walked6(raise_phi: bool = False) -> dict:
+    # a rational form off the standard one, so general_cloner runs the Darboux walk
+    form = _skew(6, lambda i, j: Fraction((2 * i + 3 * j) % 5 - 2, (i * j) % 3 + 1))
+    doc = general_cloner(form).to_json()
+    if raise_phi:
+        doc["phi"]["entries"][0][0] = str(Fraction(doc["phi"]["entries"][0][0]) + 1)
+    return doc
+
+
+def _undersized_rational() -> dict:
+    # object dim 4, machine dim 2; the readout's rref meets negative pivots
+    form = _skew(4, lambda i, j: Fraction(i - 2 * j, i + j))
+    readout = RatMatrix([["-2/3", "1/2", "5/7", "-1"], ["3/4", "-5/3", "0", "2/9"]])
+    return CloningProcess(form, zero_vec(4), standard_form(1), zero_vec(2), RatMatrix.identity(10), readout).to_json()
+
+
 # the input files the golden runs name, each built only by the runs that name it
 _GOLDEN_FILES = {
     "CNOT": lambda: {"unitary": complex_matrix_to_json(basis_cloner(2)), "beta": [[1.0, 0.0], [0.0, 0.0]]},
     "SHIFT3_K4": _shift3_k4,
     "BASIC": lambda: basic_cloner().to_json(),
     "STANDARD3_PERTURBED": _perturbed_standard3,
+    "FORM8": lambda: _skew(8, lambda i, j: Fraction((3 * i + 5 * j) % 7 - 3, (i + j) % 4 + 1)).to_json(),
+    "WALKED6": _walked6,
+    "WALKED6_RAISED": lambda: _walked6(raise_phi=True),
+    "UNDERSIZED_RATIONAL": _undersized_rational,
 }
 
 
 @pytest.mark.parametrize("golden", _GOLDEN, ids=[" ".join(g["argv"]) for g in _GOLDEN])
-def test_float_commands_print_the_recorded_bytes(tmp_path, capsys, golden):
+def test_commands_print_the_recorded_bytes(tmp_path, capsys, golden):
     # every byte of each report is pinned, every digit of the float ones too
     argv = []
     for a in golden["argv"]:

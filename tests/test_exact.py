@@ -1,14 +1,17 @@
 import gc
 import json
+import math
+import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symclone import classical
+from symclone import classical, exact
 from symclone import (
     CloningProcess,
     DegenerateFormError,
@@ -42,8 +45,10 @@ from symclone.exact import (
     _darboux,
     _form_blocks,
     _frac,
+    _from_coprime,
     _full_rank_mod_p,
     _is_skew,
+    _ratio,
 )
 from conftest import kernel_examples, random_skew_form
 import oracles
@@ -1301,3 +1306,123 @@ class TestCollectorPause:
             assert gc.collect() == 0
         finally:
             _restore_collector(was)
+
+
+def assert_same_fraction(got: Fraction, want: Fraction) -> None:
+    """got is want in every way a caller can see: the stored pair, the hash,
+    the spellings and a pickle round trip."""
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert (str(got), repr(got)) == (str(want), repr(want))
+    back = pickle.loads(pickle.dumps(got))
+    assert (back.numerator, back.denominator) == (want.numerator, want.denominator)
+
+
+_NONZERO_INTS = st.one_of(st.integers(-50, 50), st.integers(-(2**200), 2**200)).filter(bool)
+
+
+class TestCoprimeConstruction:
+    """The exact round trip builds its Fractions from coprime pairs without
+    the constructor; each one must be the Fraction the constructor builds."""
+
+    def test_the_fraction_layout_is_the_one_the_helpers_fill(self):
+        # _from_coprime sets these two slots and nothing else, as CPython's
+        # Fraction._from_coprime_ints does; a release that changes them fails here
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        assert not hasattr(Fraction(1, 2), "__dict__")
+
+    @given(st.integers(-(2**200), 2**200), _NONZERO_INTS)
+    @example(0, -7)
+    @example(-6, -4)
+    @example(5, 1)
+    @settings(max_examples=kernel_examples(300), deadline=None)
+    def test_ratio_is_the_constructor(self, p, q):
+        assert_same_fraction(_ratio(p, q), Fraction(p, q))
+
+    @given(st.integers(-(2**200), 2**200), _NONZERO_INTS)
+    @settings(max_examples=kernel_examples(300), deadline=None)
+    def test_a_coprime_pair_is_the_constructor(self, p, q):
+        want = Fraction(p, q)
+        assert_same_fraction(_from_coprime(want.numerator, want.denominator), want)
+
+    @pytest.mark.parametrize("p", [0, 1, -3])
+    def test_ratio_refuses_a_zero_denominator(self, p):
+        with pytest.raises(ZeroDivisionError):
+            _ratio(p, 0)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [("2/4", Fraction(1, 2)), ("-6/4", Fraction(-3, 2)), ("10/5", Fraction(2)), ("3/7", Fraction(3, 7))],
+    )
+    def test_canonical_strings_parse_to_lowest_terms(self, text, want):
+        assert_same_fraction(_frac(text), want)
+
+    @pytest.mark.parametrize("text, want", [("7/7", _ONE), ("1", _ONE), ("0/7", _ZERO), ("0", _ZERO)])
+    def test_canonical_zero_and_one_are_interned(self, text, want):
+        assert _frac(text) is want
+
+    @given(st.lists(_NONZERO, max_size=6), st.integers(0, 4))
+    @settings(max_examples=kernel_examples(100), deadline=None)
+    def test_halved_rows_hold_each_entry_over_two(self, values, offset):
+        row = tuple(enumerate(values))
+        got = classical._halved(row, offset)
+        assert [j for j, _ in got] == [j + offset for j, _ in row]
+        for (_, x), (_, y) in zip(row, got):
+            assert_same_fraction(y, x / 2)
+
+    @given(rat_matrices())
+    @settings(max_examples=kernel_examples(100), deadline=None)
+    def test_negation_negates_each_entry(self, m):
+        neg = -m
+        want = from_grid([[-x for x in row] for row in m.tolist()], m.cols)
+        assert neg == want and hash(neg) == hash(want)
+
+    @given(walk_forms())
+    @settings(max_examples=kernel_examples(50), deadline=None)
+    def test_every_pair_handed_to_the_helper_is_reduced(self, form):
+        # every value the round trip builds, the defect of a broken process and
+        # rref's negative pivots: a pair stored unreduced compares unequal to
+        # its value, and the walk's scales reach no output unconverted, so the
+        # check sits at the helper itself
+        def checked(p, q):
+            assert q > 0 and math.gcd(p, q) == 1, (p, q)
+            return _from_coprime(p, q)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_from_coprime", checked)
+            mp.setattr(classical, "_from_coprime", checked)
+            c = general_cloner(form)
+            assert verify_cloning(c).passed
+            assert CloningProcess.from_json(json.loads(json.dumps(c.to_json()))) == c
+            assert (-c.phi).rref()[0] == c.phi.rref()[0]
+            grid = c.phi.tolist()
+            if grid:
+                grid[0][0] += Fraction(1, 3)
+            total = c.total_form()
+            symplectic_defect(from_grid(grid, c.phi.cols), total, total)
+
+    def test_a_dim_16_round_trip_calls_the_constructor_rarely(self):
+        # only the walk's few Fraction operations per pair call it: 84 times
+        # on Python 3.10-3.11, 36 from 3.12 on, whose arithmetic skips the
+        # constructor too.  Building every entry through the constructor
+        # takes 1,222 calls here (1,054 from 3.12 on)
+        form = random_skew_form(16, random.Random(16))
+        new = Fraction.__new__.__code__
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is new:
+                calls += 1
+
+        was = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            c = general_cloner(form)
+            report = verify_cloning(c)
+            back = CloningProcess.from_json(json.loads(json.dumps(c.to_json())))
+        finally:
+            sys.setprofile(was)
+        assert report.passed and back == c
+        assert calls <= 150
