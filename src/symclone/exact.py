@@ -24,10 +24,9 @@ Fractions are built where a kernel's integers become entries: each
 "p/q" string the parser reads, the halved and negated rows of the cloning
 constructors, and the Darboux walk's per-vector scales.  None of them calls
 the ``Fraction`` constructor, whose argument checks and gcd are what such a
-value costs: each knows its lowest terms already (a canonical string in
-lowest terms, a negated or halved entry of one) or gets them from one gcd
-(``_ratio``), or from the cross gcds of two reduced factors as
-``Fraction._mul`` takes them, and ``_from_coprime`` stores the pair.
+value costs: each knows its lowest terms already (a negated or halved entry
+of one) or gets them from one gcd (``_ratio``), and ``_from_coprime`` stores
+the pair.
 
 A skew form's nondegeneracy is certified modulo the prime 32749 first: the
 form's integer rows are eliminated mod p, and full rank there proves full
@@ -121,9 +120,7 @@ def _frac(x) -> Fraction:
         q = int(q) if q else 1
         if not p:
             return _ZERO
-        if p == q:
-            return _ONE
-        return _from_coprime(p, q) if math.gcd(p, q) == 1 else Fraction(p, q)
+        return _ONE if p == q else _ratio(p, q)
     if isinstance(x, Fraction):
         f = x
     elif isinstance(x, (int, str)) and not isinstance(x, bool):
@@ -928,14 +925,7 @@ def _darboux(form: SkewForm) -> tuple[RatMatrix, RatMatrix]:
             tb, ta = tn * b, tn * a
             w = [td * x + tb * y - ta * z for x, y, z in zip(uv, uf, ue)]
             g = math.gcd(*w)
-            # the new scale sv * g / td in lowest terms, by the cross gcds of
-            # Fraction._mul: sv is reduced, and so is gn / gd
-            h = math.gcd(g, td)
-            gn, gd = g // h, td // h
-            p, q = sv._numerator, sv._denominator
-            hp, hq = math.gcd(p, gd), math.gcd(gn, q)
-            scale = _from_coprime(p // hp * (gn // hq), q // hq * (gd // hp))
-            projected.append((scale, [x // g for x in w]))
+            projected.append((_ratio(sv._numerator * g, sv._denominator * td), [x // g for x in w]))
         remaining = projected
     cols = [_scaled_row(s, u) for s, u, _ in columns]
     # omega p_c = s_c (omega u_c) / den, so row c of P^T omega is -s_c / den

@@ -1353,7 +1353,10 @@ class TestCoprimeConstruction:
 
     @pytest.mark.parametrize(
         "text, want",
-        [("2/4", Fraction(1, 2)), ("-6/4", Fraction(-3, 2)), ("10/5", Fraction(2)), ("3/7", Fraction(3, 7))],
+        [
+            ("2/4", Fraction(1, 2)), ("-6/4", Fraction(-3, 2)), ("10/5", Fraction(2)),
+            ("-7/7", Fraction(-1)), ("3/7", Fraction(3, 7)),
+        ],
     )
     def test_canonical_strings_parse_to_lowest_terms(self, text, want):
         assert_same_fraction(_frac(text), want)
