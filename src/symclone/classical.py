@@ -121,7 +121,6 @@ class CloningProcess(Record):
         }
 
     @classmethod
-    @_paused
     def from_json(cls, data: dict) -> "CloningProcess":
         # one memo for the whole document: the forms, phi and the readout
         # share most of their strings, and each is parsed once

@@ -24,7 +24,7 @@ from functools import partial
 
 from ._record import Record
 from .exact import (
-    _ONE, _ZERO, RatMatrix, RatVector, ShapeError, SkewForm, _combine, _transpose, _vec_add, vec, zero_vec,
+    _ONE, _ZERO, RatMatrix, RatVector, ShapeError, SkewForm, _transpose, vec, zero_vec,
 )
 
 
@@ -96,14 +96,6 @@ class DiagramInstance:
     __slots__ = ()
 
 
-def _state(obj: SkewForm, x) -> RatVector:
-    # a raw state coerced by vec, once
-    x = vec(x)
-    if len(x) != obj.dim:
-        raise ShapeError("state length does not match the object dimension")
-    return x
-
-
 class _Symplectic(DiagramInstance):
     __slots__ = ()
     name = "symplectic"
@@ -113,7 +105,8 @@ class _Symplectic(DiagramInstance):
     def compose(self, g: AffineMap, h: AffineMap) -> AffineMap:
         if h.target_dim != g.source_dim:
             raise ShapeError("arrows do not compose")
-        return AffineMap(g.matrix @ h.matrix, _vec_add(g.matrix.apply(h.offset), g.offset))
+        offset = tuple((a + b) if b else a for a, b in zip(g.matrix.apply(h.offset), g.offset))
+        return AffineMap(g.matrix @ h.matrix, offset)
 
     def tensor(self, g: AffineMap, h: AffineMap) -> AffineMap:
         return AffineMap(RatMatrix.block_diag(g.matrix, h.matrix), g.offset + h.offset)
@@ -125,12 +118,15 @@ class _Symplectic(DiagramInstance):
         return AffineMap(RatMatrix.identity(obj.dim), zero_vec(obj.dim))
 
     def state_arrow(self, obj: SkewForm, x) -> AffineMap:
-        return AffineMap(RatMatrix.zeros(obj.dim, 0), _state(obj, x))
+        x = vec(x)
+        if len(x) != obj.dim:
+            raise ShapeError("state length does not match the object dimension")
+        return AffineMap(RatMatrix.zeros(obj.dim, 0), x)
 
     def family(self, obj: SkewForm, states) -> AffineMap:
         # the states as matrix columns, with a zero offset; an identity test
         # passes over the interned zeros without a Fraction call
-        cols = [_state(obj, x) for x in states]
+        cols = [self.state_arrow(obj, x).offset for x in states]
         rows = tuple(tuple((j, x) for j, x in enumerate(col) if x is not _ZERO and x) for col in cols)
         return AffineMap(RatMatrix._raw(_transpose(rows, obj.dim), len(cols)), zero_vec(obj.dim))
 
@@ -139,12 +135,11 @@ class _Symplectic(DiagramInstance):
         return AffineMap(RatMatrix._raw(g.matrix._nz + h.matrix._nz, g.source_dim), g.offset + h.offset)
 
     def members_equal(self, g: AffineMap, h: AffineMap) -> list[bool]:
-        # member i agrees iff column i of g is column i of h plus h's offset
-        # minus g's
+        # member i agrees iff column i of g - h is h's offset minus g's
         if g.target_dim != h.target_dim:
             return [False] * g.source_dim
-        shift = tuple((j, b - a) for j, (a, b) in enumerate(zip(g.offset, h.offset)) if a != b)
-        return [gcol == _combine(hcol, shift) for gcol, hcol in zip(g.matrix.T._nz, h.matrix.T._nz)]
+        want = tuple((j, b - a) for j, (a, b) in enumerate(zip(g.offset, h.offset)) if a != b)
+        return [col == want for col in (g.matrix - h.matrix).T._nz]
 
     def sample_states(self, obj: SkewForm, count: int = 0, rng=None) -> list[RatVector]:
         # zero plus the basis: exhaustive for affine arrows, so count and rng go unused

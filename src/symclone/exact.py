@@ -19,14 +19,11 @@ fewer bits on them, and the two groups keep one shared denominator each.
 Floating point only appears in the numerical probe and the quantum module,
 never here.
 
-Fractions are built where a kernel's integers become entries: each
-``_fraction_row`` entry, the defect's nonzero entries, each canonical
-"p/q" string the parser reads, the halved and negated rows of the cloning
-constructors, and the Darboux walk's per-vector scales.  None of them calls
+The defect's nonzero entries, each canonical "p/q" string the parser
+reads and the halved rows of the cloning constructors are built without
 the ``Fraction`` constructor, whose argument checks and gcd are what such a
-value costs: each knows its lowest terms already (a negated or halved entry
-of one) or gets them from one gcd (``_ratio``), and ``_from_coprime`` stores
-the pair.
+value costs: a halved entry knows its lowest terms already, the others get
+them from one gcd (``_ratio``), and ``_from_coprime`` stores the pair.
 
 A skew form's nondegeneracy is certified modulo the prime 32749 first: the
 form's integer rows are eliminated mod p, and full rank there proves full
@@ -36,14 +33,12 @@ falls back to the exact ``rank``, which gives the verdict.  So the
 certificate can only skip the exact rank on a form of full rank, and every
 verdict stays exact.
 
-The kernels that allocate in bulk (the dense-grid parse in ``RatMatrix``,
-products, ``rref``, ``rank``, the certificate, ``symplectic_defect`` and
-the Darboux walk) run with CPython's cyclic garbage collector paused, and so
-do ``classical``'s entry points of the exact round trip (``general_cloner``,
-``verify_cloning`` and ``CloningProcess.from_json``).  They build only acyclic
-objects (Fractions, ints, tuples and lists of them), which reference counting
-frees, so a collection during a kernel scans thousands of fresh objects and
-finds nothing to free.  The collector's state is restored when the kernel
+The kernels that allocate in bulk (products, ``rref``, ``rank``,
+``symplectic_defect`` and the Darboux walk) run with CPython's cyclic
+garbage collector paused, and so do ``classical``'s ``general_cloner`` and
+``verify_cloning``.  They build only acyclic objects (Fractions, ints,
+tuples and lists of them), which reference counting frees, so a collection
+during a kernel scans thousands of fresh objects and finds nothing to free.  The collector's state is restored when the kernel
 returns or raises, and a kernel entered with the collector already off leaves
 it off.  The pause is process-wide: while a kernel runs, cyclic garbage that
 another thread makes waits for the kernel to return.
@@ -59,8 +54,8 @@ import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import itemgetter, mul, ne
+from itertools import compress
+from operator import itemgetter, mul
 
 
 class ShapeError(ValueError):
@@ -94,10 +89,8 @@ _NOT_SEQUENCES = (str, bytes, bytearray, Mapping, Set)
 
 
 def _sequence(x, of: str):
-    """x, which must be a sequence of ``of`` and not one of _NOT_SEQUENCES.
-    A list or tuple, what parsed JSON and the constructors pass, skips the
-    slower abstract-class checks."""
-    if not isinstance(x, (list, tuple)) and isinstance(x, _NOT_SEQUENCES):
+    """x, which must be a sequence of ``of`` and not one of _NOT_SEQUENCES."""
+    if isinstance(x, _NOT_SEQUENCES):
         raise TypeError(f"expected a sequence of {of}, got {type(x).__name__}")
     return x
 
@@ -185,18 +178,13 @@ def _ratio(p: int, q: int) -> Fraction:
 
 
 def _negated(row: SparseRow) -> SparseRow:
-    """The stored row of -row: each entry's numerator negated, in lowest terms still."""
-    return tuple((j, _from_coprime(-x._numerator, x._denominator)) for j, x in row)
+    """The stored row of -row."""
+    return tuple((j, -x) for j, x in row)
 
 
 def vec(entries: Iterable) -> RatVector:
-    """Coerce a sequence of ints/strings/Fractions to an exact vector.
-
-    A tuple of Fractions is already one and is returned as it is, after one
-    C-level pass over its entries' types; anything else is parsed entry by
-    entry, and booleans and floats are refused."""
-    if type(entries) is tuple and set(map(type, entries)) <= {Fraction}:
-        return entries
+    """Coerce a sequence of ints/strings/Fractions to an exact vector;
+    booleans and floats are refused."""
     return tuple(map(_frac, _sequence(entries, "entries")))
 
 
@@ -204,14 +192,6 @@ def zero_vec(n: int) -> RatVector:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return (_ZERO,) * n
-
-
-def _vec_add(u: RatVector, v: RatVector) -> RatVector:
-    """u + v, which is u itself when v is zero.  ``count`` compares by identity
-    first, so a vector of interned zeros is recognized without a Fraction call."""
-    if v.count(_ZERO) == len(v):
-        return u
-    return tuple((a + b) if b else a for a, b in zip(u, v))
 
 
 def _json_object(data, name: str) -> dict:
@@ -267,10 +247,6 @@ def _transpose(rows: Sequence[SparseRow], cols: int) -> tuple[SparseRow, ...]:
 
 def _combine(a: SparseRow, b: SparseRow) -> SparseRow:
     """The stored row of a + b."""
-    if not b:
-        return a
-    if not a:
-        return b
     acc = dict(a)
     for j, x in b:
         acc[j] = acc[j] + x if j in acc else x
@@ -289,8 +265,6 @@ def _combine(a: SparseRow, b: SparseRow) -> SparseRow:
 def _int_row(row: SparseRow) -> tuple[int, tuple[tuple[int, int], ...]]:
     ratios = [x.as_integer_ratio() for _, x in row]
     den = math.lcm(*[d for _, d in ratios])
-    if den == 1:
-        return 1, tuple((j, p) for (j, _), (p, _) in zip(row, ratios))
     return den, tuple((j, p * (den // d)) for (j, _), (p, d) in zip(row, ratios))
 
 
@@ -301,7 +275,7 @@ def _int_rows(m: "RatMatrix") -> list[tuple[int, tuple[tuple[int, int], ...]]]:
 def _fraction_row(den: int, nums: Iterable[tuple[int, int]]) -> SparseRow:
     """The stored row with entries num / den, zero numerators dropped;
     den may be negative."""
-    return tuple((j, _ratio(v, den)) for j, v in nums if v)
+    return tuple((j, Fraction(v, den)) for j, v in nums if v)
 
 
 def _scatter(terms, lo: int, cols: int) -> tuple[tuple[int, int], ...]:
@@ -374,7 +348,6 @@ def _back(m: list[list[int]], pivots: list[int]) -> None:
 _P = 32749
 
 
-@_paused
 def _full_rank_mod_p(m: "RatMatrix") -> bool:
     """Whether the square matrix m has full rank modulo _P, a certificate
     that it has full rank over Q.
@@ -421,8 +394,8 @@ class RatMatrix:
     numerators), so dense matrices with large entries cost one integer
     operation per step where a ``Fraction`` would take a gcd.  ``row``,
     ``tolist``, ``m[i, j]`` and ``to_json`` give dense results.  The
-    constructor takes a dense grid, skips its literal "0" strings unparsed
-    and parses each other distinct string entry once per call.
+    constructor takes a dense grid and parses each distinct string entry
+    once per call.
     """
 
     __slots__ = ("rows", "cols", "_nz")
@@ -520,7 +493,7 @@ class RatMatrix:
         return RatMatrix._raw(tuple(out), other.cols)
 
     def apply(self, v: Sequence) -> RatVector:
-        """self . v, with v coerced by ``vec``: an exact vector is used as it is."""
+        """self . v, with v coerced by ``vec``."""
         v = vec(v)
         if len(v) != self.cols:
             raise ShapeError(f"cannot apply {self.shape} to a vector of length {len(v)}")
@@ -604,12 +577,10 @@ class RatMatrix:
         return f"RatMatrix({[[str(x) for x in row] for row in self.tolist()]})"
 
 
-@_paused
 def _parse_grid(entries: Sequence[Sequence], parsed: _Parsed) -> tuple[tuple[SparseRow, ...], int]:
     """The stored rows and the column count of a dense grid, each distinct
-    string entry parsed once through the memo ``parsed``.  A literal "0",
-    most of a sparse grid, is skipped by one C-level comparison per entry;
-    any other zero parses to the interned _ZERO and is dropped by identity."""
+    string entry parsed once through the memo ``parsed``; every zero parses
+    to the interned _ZERO and is dropped by identity."""
     rows = []
     widths = []
     entry = parsed.__getitem__
@@ -617,15 +588,10 @@ def _parse_grid(entries: Sequence[Sequence], parsed: _Parsed) -> tuple[tuple[Spa
         row = tuple(_sequence(row, "entries"))
         widths.append(len(row))
         try:
-            # operator.ne, not "0".__ne__, whose NotImplemented on other types
-            # would be read as true
-            at = list(compress(range(len(row)), map(ne, row, repeat("0"))))
-            values = map(entry, map(row.__getitem__, at))
-            rows.append(tuple([(j, x) for j, x in zip(at, values) if x is not _ZERO]))
-        except (TypeError, ValueError):
-            # an unhashable entry (a nested list, say) fails the memo lookup,
-            # and an entry may fail its comparison with "0"; parsing the row
-            # entry by entry raises for its first bad entry
+            rows.append(tuple([(j, x) for j, x in enumerate(map(entry, row)) if x is not _ZERO]))
+        except TypeError:
+            # an unhashable entry (a nested list, say) fails the memo lookup;
+            # parsing the row entry by entry raises for its first bad entry
             rows.append(tuple([(j, x) for j, x in enumerate(map(_frac, row)) if x is not _ZERO]))
     cols = widths[0] if widths else 0
     if any(w != cols for w in widths):
@@ -659,21 +625,6 @@ def _entries(v: Sequence, parsed: _Parsed) -> RatVector:
         return tuple(map(_frac, v))
 
 
-def _is_skew(m: RatMatrix) -> bool:
-    """Whether the square matrix m equals -m^T: each stored column, negated,
-    is the stored row of the same index, compared by column, numerator and
-    denominator, so no negated entry is built."""
-    for row, col in zip(m._nz, _transpose(m._nz, m.cols)):
-        if len(row) != len(col):
-            return False
-        for (j, x), (k, y) in zip(row, col):
-            p, q = x.as_integer_ratio()
-            r, s = y.as_integer_ratio()
-            if j != k or p != -r or q != s:
-                return False
-    return True
-
-
 class SkewForm:
     """A nondegenerate skew-symmetric rational form on an even-dimensional space.
 
@@ -691,7 +642,7 @@ class SkewForm:
             raise ShapeError("a bilinear form needs a square matrix")
         if matrix.rows % 2 != 0:
             raise DegenerateFormError("skew forms on odd-dimensional spaces are degenerate")
-        if not _is_skew(matrix):
+        if matrix != -matrix.T:
             raise ValueError("matrix is not skew-symmetric")
         if matrix.rows and not _full_rank_mod_p(matrix) and matrix.rank() != matrix.rows:
             raise DegenerateFormError("form matrix is singular")
@@ -735,12 +686,14 @@ def _form_from_json(data: dict, parsed: _Parsed, name: str = "form") -> SkewForm
     return form
 
 
+_STANDARD_BLOCK = RatMatrix([[0, 1], [-1, 0]])
+
+
 def standard_form(n: int) -> SkewForm:
     """Block-diagonal form with n copies of the standard 2x2 block [[0,1],[-1,0]]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    block = RatMatrix([[0, 1], [-1, 0]])
-    return SkewForm._trusted(RatMatrix.block_diag(*([block] * n)))
+    return SkewForm._trusted(RatMatrix.block_diag(*([_STANDARD_BLOCK] * n)))
 
 
 def direct_sum(a: SkewForm, b: SkewForm) -> SkewForm:
@@ -925,7 +878,7 @@ def _darboux(form: SkewForm) -> tuple[RatMatrix, RatMatrix]:
             tb, ta = tn * b, tn * a
             w = [td * x + tb * y - ta * z for x, y, z in zip(uv, uf, ue)]
             g = math.gcd(*w)
-            projected.append((_ratio(sv._numerator * g, sv._denominator * td), [x // g for x in w]))
+            projected.append((sv * g / td, [x // g for x in w]))
         remaining = projected
     cols = [_scaled_row(s, u) for s, u, _ in columns]
     # omega p_c = s_c (omega u_c) / den, so row c of P^T omega is -s_c / den

@@ -76,11 +76,9 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
         if views is None:
             slot = list(zip(s_ring, y_ring, rho[:, :, None, None]))  # (s, y, rho) each
             views = [[slot[(h - j) % ring] for j in range(1, ring)] for h in range(ring)]
-            # the direction q and one buffer for the recursion's updates
-            q = np.empty_like(g)
-            q_row, q_col = q[:, None, :], q[:, :, None]
-            term = np.empty_like(q_row)
-        np.copyto(q, g)
+        q = g.copy()
+        q_row, q_col = q[:, None, :], q[:, :, None]
+        term = np.empty_like(q_row)  # one buffer for the recursion's updates
         alphas = []
         for s, y, r in views[head]:
             alphas.append(r * np.matmul(s, q_col))

@@ -47,7 +47,6 @@ from symclone.exact import (
     _frac,
     _from_coprime,
     _full_rank_mod_p,
-    _is_skew,
     _ratio,
 )
 from conftest import kernel_examples, random_skew_form
@@ -446,11 +445,11 @@ class TestSerialization:
             with pytest.raises(TypeError):
                 oracles.pair(SkewForm(J2), [1, 0], bad)
 
-    def test_vec_returns_an_exact_vector_as_it_is(self):
+    def test_vec_parses_every_sequence_into_an_exact_tuple(self):
         exact_vector = (Fraction(1), Fraction(-1, 2), Fraction(0))
-        assert vec(exact_vector) is exact_vector
-        # a list, a tuple holding an int or a string: each is parsed into a new tuple
-        for other in (list(exact_vector), (Fraction(1), 0), ("1/2", Fraction(3))):
+        # an exact vector, a list, a tuple holding an int or a string: each
+        # is parsed into a new tuple
+        for other in (exact_vector, list(exact_vector), (Fraction(1), 0), ("1/2", Fraction(3))):
             got = vec(other)
             assert got is not other
             assert type(got) is tuple and all(type(x) is Fraction for x in got)
@@ -1058,19 +1057,6 @@ class TestParsing:
         with pytest.raises(ValueError, match=f"^Invalid literal for Fraction: {re.escape(repr(text))}$"):
             _frac(text)
 
-    @given(sparse_grids(rows=4, cols=4), st.data())
-    @settings(max_examples=kernel_examples(150), deadline=None)
-    def test_skew_check_agrees_with_the_transpose(self, case, data):
-        grid, _ = case
-        m = RatMatrix(grid)
-        # make it skew, then perhaps break one entry
-        skew = [[m[i, j] - m[j, i] for j in range(4)] for i in range(4)]
-        if data.draw(st.booleans()):
-            i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-            skew[i][j] += data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]))
-        m = RatMatrix(skew)
-        assert _is_skew(m) == (m.T == -m)
-
     @pytest.mark.parametrize(
         "grid",
         [
@@ -1102,7 +1088,7 @@ class TestParsing:
         ids=["after", "before", "between"],
     )
     def test_a_zero_string_beside_a_bad_entry_keeps_the_refusal(self, bad, message, row):
-        # the literal "0" is skipped unparsed; the bad entry is still refused
+        # a memo hit on "0" does not hide the bad entry beside it
         row = [bad if x is None else x for x in row]
         with pytest.raises(TypeError, match=f"^expected an exact rational entry, {message}$"):
             RatMatrix([["1"] * len(row), row])
@@ -1252,26 +1238,13 @@ class TestCollectorPause:
             kernel()
         assert gc.isenabled() is collector
 
-    def test_the_parse_runs_paused(self, collector):
-        seen = []
-
-        class Row(list):
-            def __iter__(self):
-                seen.append(gc.isenabled())
-                return super().__iter__()
-
-        RatMatrix([Row([1, 2]), Row([3, 4])])
-        assert seen == [False, False]
-        assert gc.isenabled() is collector
-
     @pytest.mark.parametrize(
         "inner, entry",
         [
             ("_mirror_assembly", lambda c, doc: general_cloner(c.object_form)),
             ("symplectic_defect", lambda c, doc: verify_cloning(c)),
-            ("_vec_from_json", lambda c, doc: CloningProcess.from_json(doc)),
         ],
-        ids=["general_cloner", "verify_cloning", "CloningProcess.from_json"],
+        ids=["general_cloner", "verify_cloning"],
     )
     def test_the_round_trip_runs_paused(self, collector, monkeypatch, inner, entry):
         # the entry points pause the collector over their own work too, not
@@ -1384,10 +1357,9 @@ class TestCoprimeConstruction:
     @given(walk_forms())
     @settings(max_examples=kernel_examples(50), deadline=None)
     def test_every_pair_handed_to_the_helper_is_reduced(self, form):
-        # every value the round trip builds, the defect of a broken process and
-        # rref's negative pivots: a pair stored unreduced compares unequal to
-        # its value, and the walk's scales reach no output unconverted, so the
-        # check sits at the helper itself
+        # every value the round trip builds and the defect of a broken
+        # process: a pair stored unreduced compares unequal to its value, so
+        # the check sits at the helper itself
         def checked(p, q):
             assert q > 0 and math.gcd(p, q) == 1, (p, q)
             return _from_coprime(p, q)
@@ -1406,10 +1378,11 @@ class TestCoprimeConstruction:
             symplectic_defect(from_grid(grid, c.phi.cols), total, total)
 
     def test_a_dim_16_round_trip_calls_the_constructor_rarely(self):
-        # only the walk's few Fraction operations per pair call it: 84 times
-        # on Python 3.10-3.11, 36 from 3.12 on, whose arithmetic skips the
-        # constructor too.  Building every entry through the constructor
-        # takes 1,222 calls here (1,054 from 3.12 on)
+        # the parsed strings, the defect's entries and the halved rows skip
+        # it; products, rref, negation and the walk's Fraction arithmetic
+        # call it: 738 times on Python 3.10-3.11, 394 from 3.12 on, whose
+        # arithmetic skips the constructor too.  Building every entry
+        # through the constructor takes 1,222 calls here (1,054 from 3.12 on)
         form = random_skew_form(16, random.Random(16))
         new = Fraction.__new__.__code__
         calls = 0
@@ -1428,4 +1401,4 @@ class TestCoprimeConstruction:
         finally:
             sys.setprofile(was)
         assert report.passed and back == c
-        assert calls <= 150
+        assert calls <= 800

@@ -48,7 +48,10 @@ def test_record_semantics(cls):
     by_keyword = cls(**fields)
     by_position = cls(*fields.values())
     for name, value in fields.items():
-        assert getattr(by_keyword, name) is value
+        # vec coerces a vector field into a new exact tuple; every other
+        # field is stored as given
+        got = getattr(by_keyword, name)
+        assert got == value if name in ("blank", "ready", "offset") else got is value
     assert by_keyword == by_position
     assert hash(by_keyword) == hash(by_position)
     assert copy.copy(by_keyword) == by_keyword
