@@ -183,8 +183,13 @@ def _negated(row: SparseRow) -> SparseRow:
 
 
 def vec(entries: Iterable) -> RatVector:
-    """Coerce a sequence of ints/strings/Fractions to an exact vector;
-    booleans and floats are refused."""
+    """Coerce a sequence of ints/strings/Fractions to an exact vector.
+
+    A tuple of Fractions is already one and is returned as it is, after one
+    C-level pass over its entries' types; anything else is parsed entry by
+    entry, and booleans and floats are refused."""
+    if type(entries) is tuple and set(map(type, entries)) <= {Fraction}:
+        return entries
     return tuple(map(_frac, _sequence(entries, "entries")))
 
 
@@ -493,7 +498,7 @@ class RatMatrix:
         return RatMatrix._raw(tuple(out), other.cols)
 
     def apply(self, v: Sequence) -> RatVector:
-        """self . v, with v coerced by ``vec``."""
+        """self . v, with v coerced by ``vec``: an exact vector is used as it is."""
         v = vec(v)
         if len(v) != self.cols:
             raise ShapeError(f"cannot apply {self.shape} to a vector of length {len(v)}")

@@ -53,8 +53,8 @@ def _lbfgs(objective, x: np.ndarray, maxiter: int) -> np.ndarray:
     # never written has rho = 0, so the recursion passes it unchanged.  Each
     # vector is a 1 x n matrix, so a batched matmul with a column takes the
     # dot products of all rows at once.  The recursion reads the slots through
-    # views, and writes q and its updates into buffers, all made again only
-    # when rows leave; views are newest first for each head.  Where all rows
+    # views, made again only when rows leave; views are newest first for each
+    # head.  Where all rows
     # agree, shortcuts skip the general path's masks.
     ring = _HISTORY + 1
     s_ring = np.zeros((ring, rows, 1, n))

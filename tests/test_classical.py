@@ -748,6 +748,15 @@ class TestBatchedLbfgs:
 
         return oracles.lbfgs(objective, np.array(row, dtype=float), maxiter)
 
+    def test_a_step_without_sufficient_decrease_backtracks(self):
+        # from x = 1/2 on x^2 the first step, of unit length, lands on -1/2
+        # with f unchanged; the Armijo test refuses it, and half the step
+        # reaches the minimum
+        def square(x):
+            return (x * x).sum(axis=1), 2 * x
+
+        assert probe._lbfgs(square, np.array([[0.5]]), 10).tolist() == [0.0]
+
     @pytest.mark.parametrize("maxiter", [1, 2, 12, 40])
     def test_rows_match_their_runs_alone(self, maxiter):
         got = probe._lbfgs(_tagged_objective, np.array(self.STARTS, dtype=float), maxiter)
@@ -871,11 +880,19 @@ class TestProcessSerialization:
         keys = ("object_form", "machine_form", "phi", "readout")
         grids = {x for key in keys for row in doc[key]["entries"] for x in row}
         # one memo across the forms, vectors, phi and the readout (whose
-        # strings are all in phi); the process constructor's vec passes the
-        # parsed blank and ready through again, as Fractions
-        strings = [x for x in calls if isinstance(x, str)]
-        assert len(strings) == len(set(strings))
-        assert set(strings) == vectors | grids
+        # strings are all in phi)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == vectors | grids
+
+    @pytest.mark.parametrize("field", ["blank", "ready"])
+    @pytest.mark.parametrize("bad, message", [([1], "got list"), ({}, "got dict"), (0.5, "got float")])
+    def test_a_bad_vector_entry_is_refused_by_its_type(self, field, bad, message):
+        # an unhashable entry misses the memo's lookup; the refusal still
+        # names the entry's type, as one in a matrix does
+        doc = basic_cloner().to_json()
+        doc[field][1] = bad
+        with pytest.raises(TypeError, match=f"^expected an exact rational entry, {message}$"):
+            CloningProcess.from_json(doc)
 
     def test_report_serializes_rationals_as_strings(self):
         rep = verify_cloning(basic_cloner())

@@ -246,6 +246,13 @@ class TestStateCoercion:
 
         return start
 
+    def test_sampled_states_and_readout_images_are_not_coerced(self, count_frac):
+        inst, diagram = diagram_from_process(general_cloner(standard_form(3)))
+        calls = count_frac()
+        report = check_cloning_diagram(inst, diagram)
+        assert report.passed and len(report.results) == 7
+        assert calls == []
+
     def test_caller_states_are_coerced(self, count_frac):
         inst, diagram = diagram_from_process(general_cloner(standard_form(1)))
         states = [[1, 0], ["0", "1/2"], [Fraction(2), -3]]
@@ -253,10 +260,7 @@ class TestStateCoercion:
         report = check_cloning_diagram(inst, diagram, states)
         assert report.passed
         assert [psi for psi, _ in report.results] == states  # reported as supplied
-        # each int or string entry once; the Fractions they parse to pass
-        # through vec again as the check builds its arrows
-        raw = [x for psi in states for x in psi if type(x) is not Fraction]
-        assert [x for x in calls if type(x) is not Fraction] == raw
+        assert calls == [x for psi in states for x in psi]  # each entry once
 
     @pytest.mark.parametrize("bad", [[True, 0], [0.5, 0], (Fraction(1), False)])
     def test_booleans_and_floats_are_rejected(self, bad):
@@ -265,6 +269,15 @@ class TestStateCoercion:
             inst.state_arrow(standard_form(1), bad)
         with pytest.raises(TypeError):
             check_cloning_diagram(inst, diagram, [bad])
+
+    @pytest.mark.parametrize("bad", [[1], [1, 0, 0]], ids=["short", "long"])
+    def test_a_state_of_the_wrong_length_is_refused(self, bad):
+        inst, diagram = diagram_from_process(basic_cloner())
+        message = "^state length does not match the object dimension$"
+        with pytest.raises(ShapeError, match=message):
+            inst.state_arrow(standard_form(1), bad)
+        with pytest.raises(ShapeError, match=message):
+            check_cloning_diagram(inst, diagram, [[1, 0], bad])
 
 
 class TestOffsetCoercion:

@@ -106,6 +106,14 @@ class TestKron:
         assert np.array_equal(out, expected)
 
 
+def _repeated_column(n: int, i: int, j: int) -> np.ndarray:
+    """An n x n unitary with column j replaced by column i: unit columns, so
+    only the pair's inner product, off the diagonal, breaks the isometry."""
+    u = random_isometry(n, n, np.random.default_rng(n))
+    u[:, j] = u[:, i]
+    return u
+
+
 class TestIsIsometry:
     def test_qr_unitary_passes(self):
         rng = np.random.default_rng(2)
@@ -129,8 +137,9 @@ class TestIsIsometry:
         "u",
         [random_isometry(n, n, np.random.default_rng(n)) for n in (1, 2, 5, 16, 64, 256)]
         + [random_isometry(9, 4, np.random.default_rng(9)), 2.0 * np.eye(3), np.zeros((0, 0)), np.zeros((3, 0)),
-           np.random.default_rng(7).standard_normal((6, 6))],
-        ids=["1", "2", "5", "16", "64", "256", "9x4", "2I", "0x0", "3x0", "not an isometry"],
+           np.random.default_rng(7).standard_normal((6, 6)), _repeated_column(64, 0, 40)],
+        ids=["1", "2", "5", "16", "64", "256", "9x4", "2I", "0x0", "3x0", "not an isometry",
+             "a column repeated a block apart"],
     )
     def test_defect_equals_the_eye_difference_bit_for_bit(self, u):
         gram = u.conj().T @ u
