@@ -38,10 +38,11 @@ The kernels that allocate in bulk (products, ``rref``, ``rank``,
 garbage collector paused, and so do ``classical``'s ``general_cloner`` and
 ``verify_cloning``.  They build only acyclic objects (Fractions, ints,
 tuples and lists of them), which reference counting frees, so a collection
-during a kernel scans thousands of fresh objects and finds nothing to free.  The collector's state is restored when the kernel
-returns or raises, and a kernel entered with the collector already off leaves
-it off.  The pause is process-wide: while a kernel runs, cyclic garbage that
-another thread makes waits for the kernel to return.
+during a kernel scans thousands of fresh objects and finds nothing to free.
+The collector's state is restored when the kernel returns or raises, and a
+kernel entered with the collector already off leaves it off.  The pause is
+process-wide: while a kernel runs, cyclic garbage that another thread makes
+waits for the kernel to return.
 """
 
 from __future__ import annotations
